@@ -50,7 +50,6 @@ def parse_args(argv):
     # internal: a set-up sample, or the untraced twin of a traced run
     p.add_argument("--setup-probe", action="store_true",
                    help=argparse.SUPPRESS)
-    p.add_argument("--digest", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--count", type=int, default=None, help=argparse.SUPPRESS)
     return p.parse_args(argv)
 
@@ -69,8 +68,7 @@ def setup_probe(args, workloads):
     imported = time.perf_counter() - t0
     workloads.WORKLOADS[args.workload].setup(submon)
     print("ready", imported, flush=True)
-    if args.digest:
-        print("digest", digest(workloads.WORKLOADS[args.workload], args.seed))
+    print("digest", digest(workloads.WORKLOADS[args.workload], args.seed))
     return 0
 
 
@@ -90,10 +88,8 @@ def measure_setup(args):
     """(median wall s, median import s, digests) over fresh interpreters."""
     walls, imports, digests = [], [], []
     for i in range(SETUP_SAMPLES + 1):
-        with_digest = i in (1, 2)
         t0 = time.perf_counter()
-        with child(args, ["--setup-probe"] + (["--digest"] if with_digest
-                                             else []), hashseed=i) as p:
+        with child(args, ["--setup-probe"], hashseed=i) as p:
             line = p.stdout.readline()
             wall = time.perf_counter() - t0
             rest = p.stdout.read()
@@ -104,8 +100,7 @@ def measure_setup(args):
             continue  # warm-up: byte-compiles src/ in a fresh checkout
         walls.append(wall)
         imports.append(float(line.split()[1]))
-        if with_digest:
-            digests.append(rest.split()[1])
+        digests.append(rest.split()[1])
     return statistics.median(walls), statistics.median(imports), digests
 
 
@@ -273,7 +268,8 @@ def main(argv=None):
         "error_share": n_failed / n,
         "tail_percentile": p_tail, "samples_beyond_tail": beyond,
         "rounds": records[-1][3] + 1,
-        "engines": workload.engine_names(env),
+        "engines": {g: getattr(e, "name", None)
+                    for g, e in env.get("engines", {}).items()},
         "input_digest": own_digest[:16], "digest_ok": digests_ok,
         "known_defects": defects,
         **src_context(),

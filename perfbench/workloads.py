@@ -157,9 +157,6 @@ class WpStream:
             env["engines"][name] = submon.select_engine(pres)
         return env
 
-    def engine_names(self, env):
-        return {g: e.name for g, e in env["engines"].items()}
-
     def queries(self, seed):
         def make_round(rng):
             batch = []
@@ -352,9 +349,6 @@ class DecideMix:
             env["engines"][name] = submon.select_engine(pres)
         env["checker"] = Checker(submon)
         return env
-
-    def engine_names(self, env):
-        return {g: (e.name if e else None) for g, e in env["engines"].items()}
 
     # each maker returns a Case, or None to draw again
 
@@ -698,11 +692,7 @@ class FreeMonoid:
     TAIL_PERCENTILE = 97
 
     def setup(self, submon):
-        import submon.automata  # noqa: F401
         return {"submon": submon, "current": {}}
-
-    def engine_names(self, env):
-        return {}
 
     @staticmethod
     def make_set(rng, count, lo, hi, k, cancelling):
