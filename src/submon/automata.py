@@ -4,8 +4,9 @@ Two engines live here:
 
 * `StallingsGraph` decides membership in a finitely generated subgroup of a
   free group and produces witnesses (an expression of the queried word as a
-  product of the given generators and their inverses).  Witnesses come from
-  replaying the fold history backwards.
+  product of the given generators and their inverses).  Every edge is
+  labelled by an element of the free group on the generators, so a witness
+  is the product of the labels along the query's path.
 
 * `SaturatedAcceptor` decides membership in a finitely generated submonoid
   of a free group via epsilon saturation of a weighted chain automaton, and
@@ -17,31 +18,27 @@ Plus two combinatorial checks on literal letter sequences: `is_code`
 
 import math
 
-from submon.words import Word, WordError
+from submon.words import Word, WordError, _reduce_letters
 
 BASE = 0
 
 
-class FoldEvent:
-    """One fold: `gone` merged into `kept`, forced by two (state, letter)
-    edges out of `pivot_state` with letter `pivot_letter`."""
-
-    __slots__ = ("kept", "gone", "pivot_state", "pivot_letter", "edges_before")
-
-    def __init__(self, kept, gone, pivot_state, pivot_letter, edges_before):
-        self.kept = kept
-        self.gone = gone
-        self.pivot_state = pivot_state
-        self.pivot_letter = pivot_letter
-        self.edges_before = edges_before
-
-
-def _symmetric(p, x, q):
-    return (q, -x, p)
+def _inverse(label):
+    return tuple(-y for y in reversed(label))
 
 
 class StallingsGraph:
-    """Folded based graph for a finitely generated subgroup of a free group."""
+    """Folded based graph for a finitely generated subgroup of a free group.
+
+    Besides its letter, every edge carries a label: a freely reduced tuple of
+    signed 1-based generator indices.  Along any closed path at the base, the
+    labels read in order multiply to the path's word once each index is
+    replaced by its generator (Kapovich-Myasnikov).  The first edge of each
+    generator's petal is labelled with that generator, every other edge is
+    labelled trivially, and folding keeps the property: a merged state keeps
+    a parent pointer and the label offset by which its edges are rewritten
+    (union-find, after Touikan).
+    """
 
     def __init__(self, alphabet, generators):
         self.alphabet = alphabet
@@ -49,69 +46,80 @@ class StallingsGraph:
         for w in self.generators:
             if w.alphabet != alphabet:
                 raise WordError(f"generator {w!r} not over {alphabet!r}")
-        # petals: (original generator index, word); empty generators carry
-        # no petal but keep their index in self.generators
-        self.petals = [(i, w) for i, w in enumerate(self.generators) if w]
-        edges = set()
-        self._petal_of = {}
-        next_state = 1
-        for pid, (_, w) in enumerate(self.petals):
-            states = [BASE]
-            for _ in range(len(w) - 1):
-                states.append(next_state)
-                next_state += 1
-            states.append(BASE)
+        # out: live state -> {letter: (target, label)}; a target may since
+        # have been merged away and is resolved through find
+        out = {BASE: {}}
+        merged = {}  # merged state -> (parent, offset)
+        pending = []  # (source, letter, target, label), either end may be stale
+        fresh = 1
+        for i, w in enumerate(self.generators):
+            if not w:
+                continue
+            states = [BASE, *range(fresh, fresh + len(w) - 1), BASE]
+            fresh += len(w) - 1
             for j, x in enumerate(w.letters):
-                e = (states[j], x, states[j + 1])
-                edges.add(e)
-                edges.add(_symmetric(*e))
-                self._petal_of[e] = pid
-                self._petal_of[_symmetric(*e)] = pid
-        self.history = []
-        self.edges = self._fold(edges)
-        self._out = {}
-        for p, x, q in self.edges:
-            self._out[(p, x)] = q
+                label = (i + 1,) if j == 0 else ()
+                pending.append((states[j], x, states[j + 1], label))
+                pending.append((states[j + 1], -x, states[j], _inverse(label)))
+                out.setdefault(states[j + 1], {})
 
-    def _fold(self, edges):
-        while True:
-            targets = {}
-            pivot = None
-            for p, x, q in sorted(edges):
-                key = (p, x)
-                if key in targets and targets[key] != q:
-                    pivot = (p, x, targets[key], q)
-                    break
-                targets[key] = q
-            if pivot is None:
-                return edges
-            p, x, q1, q2 = pivot
-            kept, gone = min(q1, q2), max(q1, q2)
-            self.history.append(FoldEvent(kept, gone, p, x, frozenset(edges)))
-            rn = lambda s: kept if s == gone else s
-            edges = {(rn(a), y, rn(b)) for a, y, b in edges}
+        def find(state):
+            """(live state, offset): an edge leaving `state` with label L
+            leaves the live state with label offset + L."""
+            start, offset = state, ()
+            while state in merged:
+                state, up = merged[state]
+                offset = _reduce_letters(up + offset)
+            if start != state:
+                merged[start] = (state, offset)
+            return state, offset
 
-    @property
-    def states(self):
-        found = {BASE}
-        for p, _, q in self.edges:
-            found.add(p)
-            found.add(q)
-        return found
+        def resolve(q, label):
+            q, offset = find(q)
+            return q, _reduce_letters(label + _inverse(offset))
+
+        while pending:
+            p, x, q, label = pending.pop()
+            p, offset = find(p)
+            q, label = resolve(q, offset + label)
+            edges = out[p]
+            if x not in edges:
+                edges[x] = (q, label)
+                continue
+            q2, label2 = resolve(*edges[x])
+            if q2 == q:
+                continue  # parallel edge: either label reads the same element
+            if q == BASE or (q2 != BASE and len(out[q]) > len(out[q2])):
+                q, label, q2, label2 = q2, label2, q, label
+            # fold q (gone) into q2 (kept), both reached from p by x
+            edges[x] = (q2, label2)
+            merged[q] = (q2, _reduce_letters(_inverse(label2) + label))
+            pending.extend((q, y, t, lab) for y, (t, lab) in out.pop(q).items())
+        self._out = {(p, x): resolve(q, label)
+                     for p, edges in out.items()
+                     for x, (q, label) in edges.items()}
+        self.states = set(out)
 
     @property
     def rank(self):
-        positive = sum(1 for _, x, _ in self.edges if x > 0)
+        positive = sum(1 for _, x in self._out if x > 0)
         return positive - len(self.states) + 1
+
+    def _read(self, word):
+        """(end state, labels read) following the reduced word from the
+        base; (None, None) if a step is missing."""
+        state, labels = BASE, []
+        for x in word.free_reduce().letters:
+            step = self._out.get((state, x))
+            if step is None:
+                return None, None
+            state, label = step
+            labels.extend(label)
+        return state, labels
 
     def trace(self, word):
         """Follow the reduced word from the base; None if a step is missing."""
-        state = BASE
-        for x in word.free_reduce().letters:
-            state = self._out.get((state, x))
-            if state is None:
-                return None
-        return state
+        return self._read(word)[0]
 
     def contains(self, word):
         return self.trace(word) == BASE
@@ -121,102 +129,20 @@ class StallingsGraph:
 
         Returns a list of nonzero signed integers, +(-)(i+1) meaning
         generators[i] (its inverse), or None when word is not in the
-        subgroup.  The empty list means the trivial word.
+        subgroup.  The list is freely reduced; the empty list means the
+        trivial word.
         """
-        red = word.free_reduce()
-        state = BASE
-        path = []
-        for x in red.letters:
-            nxt = self._out.get((state, x))
-            if nxt is None:
-                return None
-            path.append((state, x, nxt))
-            state = nxt
+        state, labels = self._read(word)
         if state != BASE:
             return None
-        for event in reversed(self.history):
-            path = self._lift(path, event)
-        return self._read_flower(path, red)
-
-    def _lift(self, path, event):
-        before = event.edges_before
-        kept, gone = event.kept, event.gone
-        z, x0 = event.pivot_state, event.pivot_letter
-
-        def bridge(a, b):
-            # connect kept and gone through the pivot edges
-            if a == kept:
-                return [(kept, -x0, z), (z, x0, gone)]
-            return [(gone, -x0, z), (z, x0, kept)]
-
-        lifted = []
-        for p, x, q in path:
-            cand_p = (p,) if p != kept else (kept, gone)
-            cand_q = (q,) if q != kept else (kept, gone)
-            choice = None
-            for a in cand_p:
-                for b in cand_q:
-                    if (a, x, b) in before:
-                        choice = (a, x, b)
-                        break
-                if choice:
-                    break
-            if choice is None:
-                raise AssertionError("fold lifting lost an edge")
-            lifted.append(choice)
-        fixed = []
-        at = BASE
-        for step in lifted:
-            if step[0] != at:
-                fixed.extend(bridge(at, step[0]))
-            fixed.append(step)
-            at = step[2]
-        if at != BASE:
-            fixed.extend(bridge(at, BASE))
-        return _reduce_path(fixed)
-
-    def _read_flower(self, path, red):
-        letters = []
-        i = 0
-        while i < len(path):
-            pid = self._petal_of[path[i]]
-            gen_index, w = self.petals[pid]
-            seg = path[i:i + len(w)]
-            got = tuple(s[1] for s in seg)
-            if got == w.letters:
-                letters.append(gen_index + 1)
-            elif got == tuple((~w).letters):
-                letters.append(-(gen_index + 1))
-            else:
-                raise AssertionError("flower path does not spell a petal")
-            i += len(w)
+        letters = list(_reduce_letters(labels))
         check = Word(self.alphabet, ())
         for s in letters:
             g = self.generators[abs(s) - 1]
             check = check * (g if s > 0 else ~g)
-        if check != red:
+        if check != word.free_reduce():
             raise AssertionError("witness product mismatch")
         return letters
-
-
-def _reduce_path(path):
-    out = []
-    for step in path:
-        if out and out[-1] == _symmetric(*step):
-            out.pop()
-        else:
-            out.append(step)
-    return out
-
-
-def build_subgroup_graph(alphabet, generators):
-    return StallingsGraph(alphabet, generators)
-
-
-def subgroup_contains(graph, word):
-    """(member, witness) for the subgroup generated by graph.generators."""
-    w = graph.witness(word)
-    return (w is not None), w
 
 
 INF = math.inf
@@ -257,11 +183,9 @@ class SaturatedAcceptor:
         n = self.n_states
         eps = [[INF] * n for _ in range(n)]
         back = [[None] * n for _ in range(n)]
-        epoch = [[-1] * n for _ in range(n)]
         for p in range(n):
             eps[p][p] = 0
             back[p][p] = ("R",)
-        clock = 0
         pairs = [
             (e1, e2)
             for e1, (p1, x1, q1, c1, _) in enumerate(self.edges)
@@ -282,8 +206,6 @@ class SaturatedAcceptor:
                         if v < row[q]:
                             row[q] = v
                             back[p][q] = ("T", r)
-                            clock += 1
-                            epoch[p][q] = clock
                             changed = True
             for e1, e2 in pairs:
                 p, x, r, c1, _ = self.edges[e1]
@@ -294,8 +216,6 @@ class SaturatedAcceptor:
                 if v < eps[p][q]:
                     eps[p][q] = v
                     back[p][q] = ("S", e1, r, s, e2)
-                    clock += 1
-                    epoch[p][q] = clock
                     changed = True
         self.eps = eps
         self._back = back
@@ -304,8 +224,10 @@ class SaturatedAcceptor:
     def _expand_eps(self, p, q):
         """Edge-id path from p to q with freely trivial label, cost eps[p][q].
 
-        Backpointer epochs strictly decrease into sub-derivations, so the
-        recursion terminates; results are memoized per pair.
+        A backpointer is only replaced when its pair's cost strictly drops,
+        and it points at sub-pairs that already held their current, no
+        greater, cost; so following backpointers never returns to a pair and
+        the recursion terminates.  Results are memoized per pair.
         """
         key = (p, q)
         if key in self._eps_steps:

@@ -159,7 +159,7 @@ def cmd_analyze(args):
         "schema": 1,
         "stable": args.stable,
         "sigma": report.sigma,
-        "image": report.image.format(),
+        "image": None if report.image is None else report.image.format(),
         "passes": report.passes,
         "qualifying": list(report.qualifying),
         "stats": report.stats,
@@ -167,7 +167,9 @@ def cmd_analyze(args):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"relator image (stable {args.stable}): {report.image.format()}")
+        if report.image is not None:
+            print(f"relator image (stable {args.stable}): "
+                  f"{report.image.format()}")
         print(f"stable exponent sum: {report.sigma}")
         for name in sorted(report.stats):
             st = report.stats[name]

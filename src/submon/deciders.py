@@ -52,7 +52,8 @@ def _verify_member(engine, gens, indices_or_words, word):
     prod = Word(word.alphabet, ())
     for entry in indices_or_words:
         prod = prod * (gens[entry] if isinstance(entry, int) else entry)
-    assert engine.equal(prod, word), "witness failed verification"
+    if not engine.equal(prod, word):
+        raise AssertionError("witness failed verification")
 
 
 def _certified_search(gens, labels, word, engine, bound=None, budget=None,
@@ -207,7 +208,8 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
             letters.extend(body + [e * alphabet.letter(names[g])]
                            + [-x for x in reversed(body)])
         rebuilt = Word(alphabet, letters)
-        assert engine.equal(rebuilt, w), "window decomposition failed to verify"
+        if not engine.equal(rebuilt, w):
+            raise AssertionError("window decomposition failed to verify")
 
     return DgInstance(presentation, stable, gen, (n, m), ip, hnn,
                       generators, labels, query_pair, inverted)
@@ -564,8 +566,9 @@ def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
             except ClosureError:
                 continue
             nf = system.normalize(word.format())
-            assert engine.equal(_parse_word(pres, nf) if nf else
-                                Word(pres.alphabet, ()), word)
+            if not engine.equal(_parse_word(pres, nf) if nf else
+                                Word(pres.alphabet, ()), word):
+                raise AssertionError("normal form failed to verify")
             methods = ["rewriting", variant]
             if ok:
                 witness = list(nf)

@@ -3,7 +3,6 @@ import random
 from submon.words import Alphabet, Word
 from submon.automata import (
     StallingsGraph, SaturatedAcceptor,
-    build_subgroup_graph, subgroup_contains,
     benois_member, min_generator_length,
     is_code, no_cancellation,
 )
@@ -23,6 +22,10 @@ def check_subgroup_witness(graph, word, signs):
     assert prod == word.free_reduce()
 
 
+def freely_reduced(signs):
+    return all(x != -y for x, y in zip(signs, signs[1:]))
+
+
 def test_whole_group_graph():
     g = StallingsGraph(AB, [W("a"), W("b")])
     assert g.rank == 2
@@ -39,8 +42,8 @@ def test_even_subgroup():
         ("ba", True), ("a", False), ("aab", False),
         ("abab", True), ("bb", True), ("", True),
     ]:
-        member, wit = subgroup_contains(g, W(text))
-        assert member == inside, text
+        wit = g.witness(W(text))
+        assert (wit is not None) == inside, text
         if inside:
             check_subgroup_witness(g, W(text), wit)
 
@@ -70,15 +73,34 @@ def test_witnesses_on_random_products():
         for _ in range(3):
             n = rng.randrange(1, 7)
             gens.append(Word(AB, [rng.choice([1, -1, 2, -2]) for _ in range(n)]).free_reduce())
-        graph = build_subgroup_graph(AB, gens)
+        graph = StallingsGraph(AB, gens)
         for _ in range(5):
             prod = Word(AB, ())
             for _ in range(rng.randrange(0, 7)):
                 g = rng.choice(gens)
                 prod = prod * (g if rng.random() < 0.5 else ~g)
-            member, wit = subgroup_contains(graph, prod)
-            assert member
+            wit = graph.witness(prod)
+            assert wit is not None
             check_subgroup_witness(graph, prod, wit)
+            assert freely_reduced(wit)
+    # sets that are not free bases, and sets whose generators share
+    # prefixes, so that folds run across petals
+    for texts in (["a", "aa", "b", "ab"], ["ab", "aB", "abb", "b"],
+                  ["aab", "aaB", "aBa"], ["abA", "abb", "ab"],
+                  ["ba", "bA", "bb", "Ab"]):
+        gens = [W(t) for t in texts]
+        graph = StallingsGraph(AB, gens)
+        letters = [i for i in range(-len(gens), len(gens) + 1) if i]
+        for _ in range(40):
+            signs = [rng.choice(letters) for _ in range(rng.randrange(0, 8))]
+            prod = Word(AB, ())
+            for s in signs:
+                g = gens[abs(s) - 1]
+                prod = prod * (g if s > 0 else ~g)
+            wit = graph.witness(prod)
+            assert wit is not None, (texts, signs)
+            check_subgroup_witness(graph, prod, wit)
+            assert freely_reduced(wit)
 
 
 def check_monoid_witness(alphabet, gens, word, factors):

@@ -58,6 +58,16 @@ def test_analyze_command(capsys):
     assert code == 1
     assert "t[0] t[1] t[0]' t[1]'" in out
     assert "max/min: FAIL" in out
+    # the stable letter's exponent sum is nonzero: no relator image
+    code, out, _ = run(capsys, "analyze", "--group", "BS 2 3",
+                       "--stable", "a", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["image"] is None and data["sigma"] != 0
+    code, out, _ = run(capsys, "analyze", "--group", "BS 2 3",
+                       "--stable", "a")
+    assert "relator image" not in out
+    assert "stable exponent sum: " in out
 
 
 def test_bs_magnus_command(capsys):

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import submon
 
 from submon.words import Alphabet, Word, Presentation, GroupHom
 from submon.presentations import (
@@ -419,3 +425,31 @@ def test_eliminate_defined_generator_requires_single_occurrence():
     P = Presentation.parse("gens: a b\nrel: a b a b\n")
     with pytest.raises(DeciderError):
         eliminate_defined_generator(P, "a")
+
+
+LYING_ENGINE = textwrap.dedent("""
+    from submon.words import Presentation
+    from submon.deciders import decide_surface_submonoid
+
+    class Liar:
+        def is_trivial(self, word):
+            return False
+
+        def equal(self, u, v):
+            return False
+
+    pres = Presentation.parse("gens: a b c d\\nrel: abABcdCD\\n")
+    decide_surface_submonoid(pres, ["a", "b"], "ab", engine=Liar())
+""")
+
+
+def test_verification_survives_optimize_flag():
+    """A member verdict whose witness the engine rejects must raise even
+    when asserts are compiled out."""
+    src = os.path.dirname(os.path.dirname(submon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", LYING_ENGINE],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode != 0
+    assert "AssertionError: witness failed verification" in proc.stderr

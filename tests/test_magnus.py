@@ -115,6 +115,20 @@ def test_hnn_data_edge_subgroups():
     assert hnn.phi_inv(basis.expressions["c[1]"]) == c0
 
 
+def test_phi_inv_undoes_phi():
+    ip = interval_presentation(CHAIN, "t", 0, 2)
+    hnn = hnn_data(ip, "c")
+    rng = random.Random(13)
+    for _ in range(60):
+        w = Word(hnn.basis.alphabet, ())
+        for _ in range(rng.randrange(0, 7)):
+            g = rng.choice(hnn.P_words)
+            w = w * (g if rng.random() < 0.5 else ~g)
+        image = hnn.phi(w)
+        assert image is not None
+        assert hnn.phi_inv(image) == w
+
+
 def test_britton_surface_basics():
     eng = BrittonEngine(S2, "a")
     assert eng.gen == "b"
