@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 member / true, 1 non-member / false, 2 unknown, 3 usage or
-precondition error.  Every decision command takes --json for a machine
-readable envelope.
+precondition error, 4 internal error.  Every decision command takes --json
+for a machine readable envelope.
 """
 
 import argparse
@@ -11,6 +11,7 @@ import os
 import re
 import sys
 import time
+import traceback
 
 from submon.words import Presentation, WordError
 from submon.magnus import MagnusError, max_min_report
@@ -222,8 +223,17 @@ def cmd_powers(args):
     return emit(args, verdict, started)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3: argparse's own 2 means unknown here.  The
+    subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="submon",
         description="membership deciders for submonoids of one-relator groups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,6 +308,10 @@ def main(argv=None):
     except (DeciderError, MagnusError, WordError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

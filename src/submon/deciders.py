@@ -10,10 +10,12 @@ one can be built.
 
 from math import gcd
 
-from submon.words import Alphabet, Word, Presentation, GroupHom
+from submon.words import (
+    Alphabet, Word, Presentation, GroupHom, invert_letters, solve_relator,
+)
 from submon.magnus import (
     MagnusError, magnus_rewrite, max_min_report, interval_presentation,
-    hnn_data, BrittonEngine, FbcGroup, sub_name, sub_invert,
+    HnnData, BrittonEngine, FbcGroup, sub_name, sub_invert,
     substitute_generator,
 )
 from submon.automata import StallingsGraph, no_cancellation
@@ -45,15 +47,19 @@ def _parse_word(presentation, item):
     return item if isinstance(item, Word) else presentation.word(item)
 
 
-def _verify_member(engine, gens, indices_or_words, word):
-    """Internal consistency check before any member verdict leaves."""
-    if engine is None:
-        return
-    prod = Word(word.alphabet, ())
-    for entry in indices_or_words:
-        prod = prod * (gens[entry] if isinstance(entry, int) else entry)
-    if not engine.equal(prod, word):
-        raise AssertionError("witness failed verification")
+def _verified_member(engine, gens, labels, picks, word, methods,
+                     certificate=None, bound=None):
+    """The one exit for a member verdict with a witness: the product of the
+    picked generators is checked against the query through the engine
+    first, by an explicit raise that `python -O` keeps."""
+    if engine is not None:
+        prod = Word(word.alphabet, ())
+        for i in picks:
+            prod = prod * gens[i]
+        if not engine.equal(prod, word):
+            raise AssertionError("witness failed verification")
+    return Verdict.member([labels[i] for i in picks], methods=methods,
+                          certificate=certificate, bound=bound)
 
 
 def _certified_search(gens, labels, word, engine, bound=None, budget=None,
@@ -61,7 +67,8 @@ def _certified_search(gens, labels, word, engine, bound=None, budget=None,
     """Search tail shared by the deciders.
 
     `bound` is a proven cap on factor counts; covering it with a certified
-    search turns a miss into a non-member verdict.  Without it a miss is
+    search turns a miss into a non-member verdict.  Without it, or without
+    an engine (the search then only covered the free group), a miss is
     unknown.
     """
     budget = budget or SearchBudget(8)
@@ -71,11 +78,10 @@ def _certified_search(gens, labels, word, engine, bound=None, budget=None,
         engine=engine)
     methods = list(methods) + [res.method]
     if res.found:
-        _verify_member(engine, gens, res.witness, word)
-        witness = [labels[i] for i in res.witness]
-        return Verdict.member(witness, methods=methods,
-                              certificate=certificate, bound=depth)
-    if bound is not None and depth >= bound and res.complete and res.certified:
+        return _verified_member(engine, gens, labels, res.witness, word,
+                                methods, certificate, bound=depth)
+    if (engine is not None and bound is not None and depth >= bound
+            and res.complete and res.certified):
         cert = dict(certificate or {})
         cert["exhausted"] = depth
         return Verdict.non_member(cert, methods=methods, bound=depth)
@@ -195,7 +201,7 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
     if m < n + 1:
         m = n + 1
     ip = interval_presentation(presentation, stable, n, m)
-    hnn = hnn_data(ip, gen)
+    hnn = HnnData(ip, gen)
     generators = [(j, ip.word_from_triples(ts)) for j, ts in decomps]
     query_pair = (None if query_decomp is None else
                   (query_decomp[0], ip.word_from_triples(query_decomp[1])))
@@ -317,9 +323,10 @@ def decide_surface_magnus(g, orientable, letters, word, budget=None):
     return _nonorientable_magnus(pres, gens, lits, labels, word, budget)
 
 
-def _whole_group_witness(pres, lits, labels, word, positive):
-    """Spell a word over all-positive (or all-negative) generators, using
-    the cyclic relator conjugates to flip letters of the wrong sign."""
+def _whole_group_witness(pres, lits, word, positive):
+    """Generator picks spelling a word over all-positive (or all-negative)
+    generators, using the cyclic relator conjugates to flip letters of the
+    wrong sign."""
     k = len(pres.alphabet)
     position = {lit: i for i, lit in enumerate(lits)}
     out = []
@@ -336,7 +343,7 @@ def _whole_group_witness(pres, lits, labels, word, positive):
         for step in order:
             j = (i - 1 + step) % k + 1
             out.extend([position[sign * j]] * 2)
-    return [labels[i] for i in out], [i for i in out]
+    return out
 
 
 def _nonorientable_magnus(pres, gens, lits, labels, word, budget,
@@ -350,13 +357,11 @@ def _nonorientable_magnus(pres, gens, lits, labels, word, budget,
     for positive in (True, False):
         want = range(1, k + 1) if positive else range(-k, 0)
         if all(i in signed for i in want):
-            witness, idxs = _whole_group_witness(pres, lits, labels, word,
-                                                positive)
-            _verify_member(engine, gens, idxs, word)
+            picks = _whole_group_witness(pres, lits, word, positive)
             cert = {"reason": "all generators present with one sign",
                     "sign": "+" if positive else "-"}
-            return Verdict.member(witness, methods=["whole-group"],
-                                  certificate=cert)
+            return _verified_member(engine, gens, labels, picks, word,
+                                    ["whole-group"], cert)
     pick = None
     for i in range(1, k + 1):
         if i in signed and -i not in signed:
@@ -466,11 +471,9 @@ class PrefixDecider:
             bound = self.budget.bound(len(w0))
         self._ensure(min(bound, 5))
         if w0.letters in self._table:
-            idxs = self._path(w0.letters)
-            _verify_member(self.engine, self.gens, idxs, word)
-            witness = [self.labels[i] for i in idxs]
-            return Verdict.member(witness, methods=methods + ["table"],
-                                  certificate=cert, bound=bound)
+            return _verified_member(self.engine, self.gens, self.labels,
+                                    self._path(w0.letters), word,
+                                    methods + ["table"], cert, bound=bound)
         return _certified_search(self.gens, self.labels, word, self.engine,
                                  bound=bound, budget=budget,
                                  methods=methods, certificate=cert)
@@ -499,12 +502,9 @@ def _bs_swap(items, pair):
     return [table.get(x, x) for x in items]
 
 
-def decide_bs_magnus(m, n, letters, word, budget=None):
-    """Membership in the submonoid of BS(m, n) generated by a proper subset
-    of the four signed letters."""
-    if m == 0 or n == 0 or m == n:
-        raise DeciderError(
-            f"parameters ({m}, {n}) are outside the decided range")
+def _letter_subset(letters):
+    """The generating set as a list of distinct letters from a, A, t, T,
+    a proper nonempty subset."""
     S = []
     for item in letters:
         item = item.strip() if isinstance(item, str) else item
@@ -514,6 +514,16 @@ def decide_bs_magnus(m, n, letters, word, budget=None):
     if not S or len(S) == 4:
         raise DeciderError(
             "the generating set must be a proper nonempty subset of a, A, t, T")
+    return S
+
+
+def decide_bs_magnus(m, n, letters, word, budget=None):
+    """Membership in the submonoid of BS(m, n) generated by a proper subset
+    of the four signed letters."""
+    if m == 0 or n == 0 or m == n:
+        raise DeciderError(
+            f"parameters ({m}, {n}) are outside the decided range")
+    S = _letter_subset(letters)
     pres = bs_presentation(m, n)
     word = _parse_word(pres, word)
 
@@ -571,12 +581,10 @@ def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
                 raise AssertionError("normal form failed to verify")
             methods = ["rewriting", variant]
             if ok:
-                witness = list(nf)
-                _verify_member(engine, gens, [S.index(c) for c in witness],
-                               word)
-                return Verdict.member(witness, methods=methods,
-                                      certificate=dict(cert_base,
-                                                       normal_form=nf))
+                return _verified_member(engine, gens, S,
+                                        [S.index(c) for c in nf], word,
+                                        methods,
+                                        dict(cert_base, normal_form=nf))
             outside = sorted(set(nf) - allowed)
             cert = dict(cert_base, normal_form=nf, outside_letters=outside,
                         reason="normal form leaves the letter set")
@@ -595,11 +603,11 @@ def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
         for x in w0.letters:
             c = pres.alphabet.name_of(x) if x > 0 else pres.alphabet.name_of(x).upper()
             witness.extend(expansion.get(c, [c]))
-        _verify_member(engine, gens, [S.index(c) for c in witness], word)
         cert = dict(cert_base,
                     reason="three of the four letters span the whole group")
-        return Verdict.member(witness, methods=methods + ["whole-group"],
-                              certificate=cert)
+        return _verified_member(engine, gens, S,
+                                [S.index(c) for c in witness], word,
+                                methods + ["whole-group"], cert)
     if present <= {"a", "A"}:
         k = engine.base_power(word)
         cert = dict(cert_base, base_power=k)
@@ -611,8 +619,9 @@ def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
             cert["reason"] = "base power of the wrong sign"
             return Verdict.non_member(cert, methods=methods)
         witness = ["a"] * k if k >= 0 else ["A"] * -k
-        _verify_member(engine, gens, [S.index(c) for c in witness], word)
-        return Verdict.member(witness, methods=methods, certificate=cert)
+        return _verified_member(engine, gens, S,
+                                [S.index(c) for c in witness], word,
+                                methods, cert)
     if present <= {"t", "T"}:
         j = word.exponent_sum("t")
         cert = dict(cert_base, stable_exponent=j)
@@ -624,8 +633,9 @@ def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
             cert["reason"] = "stable power of the wrong sign"
             return Verdict.non_member(cert, methods=methods)
         witness = ["t"] * j if j >= 0 else ["T"] * -j
-        _verify_member(engine, gens, [S.index(c) for c in witness], word)
-        return Verdict.member(witness, methods=methods, certificate=cert)
+        return _verified_member(engine, gens, S,
+                                [S.index(c) for c in witness], word,
+                                methods, cert)
     j = word.exponent_sum("t")
     if "t" in present and "T" not in present and j < 0:
         return Verdict.non_member(
@@ -640,10 +650,7 @@ def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
 
 
 _BURNS = burns_presentation()
-
-
-def _burns_fbc():
-    return FbcGroup(_BURNS, "t")
+_BURNS_FBC = FbcGroup(_BURNS, "t")
 
 
 def _expand(triples):
@@ -710,18 +717,10 @@ def _ordered_dp(u, factor_of, kmax):
 def decide_burns_magnus(letters, word, budget=None):
     """Membership in the submonoid of the Burns group generated by a proper
     subset of the four signed letters."""
-    S = []
-    for item in letters:
-        item = item.strip() if isinstance(item, str) else item
-        if item not in _BS_LETTERS or item in S:
-            raise DeciderError(f"bad letter {item!r}")
-        S.append(item)
-    if not S or len(S) == 4:
-        raise DeciderError(
-            "the generating set must be a proper nonempty subset of a, A, t, T")
+    S = _letter_subset(letters)
     pres = _BURNS
     word = _parse_word(pres, word)
-    fbc = _burns_fbc()
+    fbc = _BURNS_FBC
     w0 = word.free_reduce()
     if not w0 or fbc.is_trivial(word):
         return Verdict.member([], methods=["identity"])
@@ -734,11 +733,6 @@ def decide_burns_magnus(letters, word, budget=None):
 
     def orbit(k):
         return _expand(fbc.shift_to_basis(((fbc.g, 0, 1),), k))
-
-    def member(witness):
-        _verify_member(fbc, gens, [S.index(c) for c in witness], word)
-        return Verdict.member(witness, methods=methods,
-                              certificate=dict(cert_base))
 
     def reject(reason):
         return Verdict.non_member(dict(cert_base, reason=reason),
@@ -754,18 +748,18 @@ def decide_burns_magnus(letters, word, budget=None):
             return reject("base power of the wrong sign")
         if e < 0 and "A" not in present:
             return reject("base power of the wrong sign")
-        return member(["a"] * e if e >= 0 else ["A"] * -e)
+        witness = ["a"] * e if e >= 0 else ["A"] * -e
 
-    if present <= {"t", "T"}:
+    elif present <= {"t", "T"}:
         if u:
             return reject("nontrivial kernel part")
         if j > 0 and "t" not in present:
             return reject("stable power of the wrong sign")
         if j < 0 and "T" not in present:
             return reject("stable power of the wrong sign")
-        return member(["t"] * j if j >= 0 else ["T"] * -j)
+        witness = ["t"] * j if j >= 0 else ["T"] * -j
 
-    if present == {"t", "T"} | {"a"} or present == {"t", "T"} | {"A"}:
+    elif present == {"t", "T"} | {"a"} or present == {"t", "T"} | {"A"}:
         inverse = "A" in present
         factors = {}
         for direction in (1, -1):
@@ -789,15 +783,22 @@ def decide_burns_magnus(letters, word, budget=None):
                 witness.extend(["t"] * k + [core] + ["T"] * k)
             else:
                 witness.extend(["T"] * -k + [core] + ["t"] * -k)
-        return member(witness)
 
-    down = "t" in present
-    if down and j < 0:
-        return reject("negative stable exponent")
-    if not down and j > 0:
-        return reject("positive stable exponent")
-    J = abs(j)
-    if present in ({"a", "t"}, {"A", "t"}, {"a", "T"}, {"A", "T"}):
+    else:
+        down = "t" in present
+        if down and j < 0:
+            return reject("negative stable exponent")
+        if not down and j > 0:
+            return reject("positive stable exponent")
+        if {"a", "A"} <= present:
+            # three letters with both base signs: quick sign filter, then
+            # search
+            return _certified_search(gens, S, word, fbc, bound=None,
+                                     budget=budget,
+                                     methods=methods + ["mixed-signs"],
+                                     certificate=cert_base)
+        # one base letter and one stable letter
+        J = abs(j)
         inverse = "A" in present
         sign = -1 if down else 1
         cache = {}
@@ -819,12 +820,9 @@ def decide_burns_magnus(letters, word, budget=None):
             witness.extend([core] * ks.count(J - i))
             if i < J:
                 witness.append(stable)
-        return member(witness)
 
-    # three letters with both base signs: quick sign filter, then search
-    return _certified_search(gens, S, word, fbc, bound=None, budget=budget,
-                             methods=methods + ["mixed-signs"],
-                             certificate=cert_base)
+    return _verified_member(fbc, gens, S, [S.index(c) for c in witness], word,
+                            methods, dict(cert_base))
 
 
 def orbit_membership(theta, theta_inv, seeds, word, budget=None):
@@ -878,16 +876,18 @@ def orbit_membership(theta, theta_inv, seeds, word, budget=None):
     cert = {"factors": {f"{si}:{k}": Word(word.alphabet, fw).format()
                         for (si, k), fw in sorted(factors.items())},
             "certified": bool(certified)}
+    gens = [Word(word.alphabet, fw) for fw in factors.values()]
+    labels = [w.format() for w in gens]
     tile = _tiling_dp(target.letters, factors)
     if tile is not None:
-        witness = [Word(word.alphabet, factors[key]).format() for key in tile]
-        return Verdict.member(witness, methods=methods + ["tiling"],
-                              certificate=cert)
+        keys = list(factors)
+        # free group: the tiling spells the target letter for letter
+        return _verified_member(None, gens, labels,
+                                [keys.index(key) for key in tile], target,
+                                methods + ["tiling"], cert)
     if certified:
         cert["reason"] = "no tiling by orbit words"
         return Verdict.non_member(cert, methods=methods + ["tiling"])
-    gens = [Word(word.alphabet, fw) for fw in factors.values()]
-    labels = [w.format() for w in gens]
     return _certified_search(gens, labels, target, None, bound=None,
                              budget=budget, methods=methods,
                              certificate=cert)
@@ -900,15 +900,9 @@ def decide_positivity_fbc(presentation, word, budget=None):
     if len(presentation.alphabet) != 2 or not presentation.is_one_relator:
         raise DeciderError("needs a two-generator one-relator presentation")
     names = presentation.alphabet.names
-    rel = presentation.relator
     stable = base = fbc = None
     for cand, other in (tuple(reversed(names)), names):
-        if rel.exponent_sum(cand) != 0:
-            continue
         try:
-            report = max_min_report(presentation, cand)
-            if not report.passes or other not in report.qualifying:
-                continue
             fbc = FbcGroup(presentation, cand, other)
         except MagnusError:
             continue
@@ -961,8 +955,9 @@ def decide_positivity_fbc(presentation, word, budget=None):
             witness.extend([base] * ks.count(j - i))
             if i < j:
                 witness.append(stable)
-        _verify_member(fbc, gens, [labels.index(c) for c in witness], word)
-        return Verdict.member(witness, methods=methods, certificate=cert)
+        return _verified_member(fbc, gens, labels,
+                                [labels.index(c) for c in witness], word,
+                                methods, cert)
 
     instance = None
     try:
@@ -1071,10 +1066,8 @@ def powers_decider(presentation, powers, word, budget=None):
             combo = bezout_witness(idx, e)
             assert combo is not None, "gcd power must be reachable"
             witness_idx.extend(combo)
-        _verify_member(engine, ps, witness_idx, word)
-        return Verdict.member([labels[i] for i in witness_idx],
-                              methods=["powers", "subgroup"],
-                              certificate=cert)
+        return _verified_member(engine, ps, labels, witness_idx, word,
+                                ["powers", "subgroup"], cert)
 
     if len(set(w0.letters)) == 1:
         x = w0.letters[0]
@@ -1082,10 +1075,8 @@ def powers_decider(presentation, powers, word, budget=None):
         if idx in d and e % d[idx] == 0:
             combo = bezout_witness(idx, e)
             if combo is not None:
-                _verify_member(engine, ps, combo, word)
-                return Verdict.member([labels[i] for i in combo],
-                                      methods=["powers", "bezout"],
-                                      certificate=cert)
+                return _verified_member(engine, ps, labels, combo, word,
+                                        ["powers", "bezout"], cert)
     cert["reason"] = "subgroup membership instance not decided here"
     return Verdict.unknown(methods=["powers", "subgroup-instance"],
                            certificate=cert)
@@ -1167,19 +1158,14 @@ def eliminate_defined_generator(presentation, name):
         raise DeciderError(f"no relator defines {name!r} by a single occurrence")
     idx, pos = chosen
     r = presentation.relators[idx]
-    prefix = Word(alphabet, r.letters[:pos])
-    suffix = Word(alphabet, r.letters[pos + 1:])
-    if r.letters[pos] > 0:
-        expr = ~prefix * ~suffix
-    else:
-        expr = suffix * prefix
+    expr = solve_relator(r.letters, pos, r.letters[pos] > 0, invert_letters)
     new_alpha = Alphabet([nm for nm in alphabet.names if nm != name])
     images = []
     for nm in alphabet.names:
         if nm == name:
             images.append(Word(new_alpha, tuple(
                 (1 if x > 0 else -1) * new_alpha.letter(alphabet.name_of(abs(x)))
-                for x in expr.letters)))
+                for x in expr)))
         else:
             images.append(Word(new_alpha, (new_alpha.letter(nm),)))
     hom = GroupHom(alphabet, new_alpha, images)

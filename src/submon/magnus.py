@@ -13,9 +13,9 @@ built from:
   subscripted letters over a subscript window, together with the shifted
   relators and the conjugation relations linking neighbours.
 
-* `eliminate_to_basis` / `hnn_data` turn the window group into a free
-  group with an explicit basis and the two edge subgroups of the HNN
-  splitting, with the shift isomorphism between them.
+* `Basis` / `HnnData` turn the window group into a free group with an
+  explicit basis and the two edge subgroups of the HNN splitting, with the
+  shift isomorphism between them.
 
 * `BrittonEngine` solves the word problem by Britton pinching over that
   splitting; `FbcGroup` solves it through normal forms t^j u with u in
@@ -25,22 +25,15 @@ Kernel words are handled as tuples of (generator index, subscript, sign)
 triples so subscripts can roam without registering alphabets.
 """
 
-from submon.words import Alphabet, Word, Presentation, GroupHom, WordError
+from submon.words import (
+    Alphabet, Word, Presentation, GroupHom, WordError, WordProblem,
+    invert_letters, solve_relator,
+)
 from submon.automata import StallingsGraph
 
 
 class MagnusError(ValueError):
     pass
-
-
-def sub_reduce(triples):
-    out = []
-    for t in triples:
-        if out and out[-1][0] == t[0] and out[-1][1] == t[1] and out[-1][2] == -t[2]:
-            out.pop()
-        else:
-            out.append(t)
-    return tuple(out)
 
 
 def sub_invert(triples):
@@ -186,6 +179,19 @@ def _relator_image(presentation, stable):
     return report
 
 
+def _qualifying_generator(presentation, stable, gen):
+    """The relator report and the generator to eliminate: `gen` when it
+    qualifies, the first qualifying generator when `gen` is None."""
+    report = _relator_image(presentation, stable)
+    if gen is None:
+        if not report.qualifying:
+            raise MagnusError("no generator with unique extreme occurrences")
+        gen = report.qualifying[0]
+    elif gen not in report.qualifying:
+        raise MagnusError(f"{gen!r} does not qualify")
+    return report, gen
+
+
 class IntervalPresentation:
     """Subscripted letters over a window [n, m] of relator shifts."""
 
@@ -274,13 +280,9 @@ class Basis:
             if len(positions) != 1:
                 raise MagnusError(f"{target} occurs {len(positions)} times in a shifted relator")
             j = positions[0]
-            prefix = Word(ip.alphabet, rel.letters[:j])
-            suffix = Word(ip.alphabet, rel.letters[j + 1:])
-            if rel.letters[j] > 0:
-                solved = ~prefix * ~suffix
-            else:
-                solved = suffix * prefix
-            self.expressions[target] = self._lower(solved)
+            solved = solve_relator(rel.letters, j, rel.letters[j] > 0,
+                                   invert_letters)
+            self.expressions[target] = self._lower(Word(ip.alphabet, solved))
 
     def _lower(self, word):
         out = Word(self.alphabet, ())
@@ -306,10 +308,6 @@ class Basis:
         if name in self.expressions:
             return self.expressions[name]
         return Word(self.alphabet, (self.alphabet.letter(name),))
-
-
-def eliminate_to_basis(ip, gen):
-    return Basis(ip, gen)
 
 
 class HnnData:
@@ -363,10 +361,6 @@ class HnnData:
         return self._map_witness(wit, self._Q_images)
 
 
-def hnn_data(ip, gen):
-    return HnnData(ip, gen)
-
-
 def _abelian_filter(presentation, word):
     """False when no integer k makes the exponent vector k times the
     relator's; True means the abelian test is passed, nothing more."""
@@ -386,7 +380,7 @@ def _abelian_filter(presentation, word):
     return True
 
 
-class BrittonEngine:
+class BrittonEngine(WordProblem):
     """Word problem by Britton pinching.
 
     Requires a stable letter with zero relator exponent sum, every other
@@ -394,18 +388,12 @@ class BrittonEngine:
     max_min_report.  Window machinery is cached per window.
     """
 
+    name = "britton"
+
     def __init__(self, presentation, stable, gen=None):
         self.presentation = presentation
         self.stable = stable
-        report = _relator_image(presentation, stable)
-        if gen is None:
-            if not report.qualifying:
-                raise MagnusError("no generator with unique extreme occurrences")
-            gen = report.qualifying[0]
-        elif gen not in report.qualifying:
-            raise MagnusError(f"{gen!r} does not qualify")
-        self.gen = gen
-        self.report = report
+        self.report, self.gen = _qualifying_generator(presentation, stable, gen)
         self._machinery = {}
 
     def _window(self, n, m):
@@ -473,15 +461,8 @@ class BrittonEngine:
             return False
         return not segs[0]
 
-    def equal(self, u, v):
-        return self.is_trivial(u * ~v)
 
-
-def britton_word_problem(presentation, stable, word):
-    return BrittonEngine(presentation, stable).is_trivial(word)
-
-
-class FbcGroup:
+class FbcGroup(WordProblem):
     """Normal forms t^j u with u over the kernel basis.
 
     Needs a generator with unique occurrences at both subscript extremes of
@@ -490,43 +471,33 @@ class FbcGroup:
     occurrences upwards.
     """
 
+    name = "fbc"
+
     def __init__(self, presentation, stable, gen=None):
         self.presentation = presentation
         self.stable = stable
-        report = _relator_image(presentation, stable)
-        if gen is None:
-            if not report.qualifying:
-                raise MagnusError("no generator with unique extreme occurrences")
-            gen = report.qualifying[0]
-        elif gen not in report.qualifying:
-            raise MagnusError(f"{gen!r} does not qualify")
-        self.gen = gen
-        self.report = report
+        self.report, self.gen = _qualifying_generator(presentation, stable, gen)
         alphabet = presentation.alphabet
-        self.g = alphabet.index(gen)
+        self.g = alphabet.index(self.gen)
         self.t = alphabet.index(stable)
-        stats = report.stats[gen]
+        stats = self.report.stats[self.gen]
         self.low, self.high = stats["min"], stats["max"]
-        triples = report.image.triples
-        for target, solve_low in ((self.high, False), (self.low, True)):
-            pos = [i for i, (g, s, _) in enumerate(triples)
-                   if g == self.g and s == target]
-            assert len(pos) == 1
-            j = pos[0]
-            prefix, (g0, s0, e0), suffix = triples[:j], triples[j], triples[j + 1:]
-            if e0 > 0:
-                solved = sub_mul(sub_invert(prefix), sub_invert(suffix))
-            else:
-                solved = sub_mul(suffix, prefix)
-            if solve_low:
-                self.expr_low = solved
-            else:
-                self.expr_high = solved
+        triples = self.report.image.triples
+
+        def solve_at(target):
+            # unique: the generator qualifies
+            j = next(i for i, (g, s, _) in enumerate(triples)
+                     if g == self.g and s == target)
+            return sub_mul(solve_relator(triples, j, triples[j][2] > 0,
+                                         sub_invert))
+
+        self.expr_high = solve_at(self.high)
+        self.expr_low = solve_at(self.low)
 
     def rebase(self, triples):
         """Rewrite kernel triples so the chosen generator only carries
         subscripts in [low, high-1]; canonical by freeness of the kernel."""
-        work = list(sub_reduce(triples))
+        work = list(sub_mul(triples))
         while True:
             hit = None
             for i, (g, s, e) in enumerate(work):
@@ -564,20 +535,12 @@ class FbcGroup:
         j, u = self.normal_form(word)
         return j == 0 and not u
 
-    def equal(self, u, v):
-        return self.is_trivial(u * ~v)
-
     def shift_to_basis(self, triples, d):
         """Kernel word conjugated by stable^d, rewritten to the basis."""
         return self.rebase(sub_shift(triples, d))
 
     def format(self, triples):
         return format_subscripted(self.presentation.alphabet, triples)
-
-
-def fbc_normal_form(presentation, stable, word, gen=None):
-    engine = FbcGroup(presentation, stable, gen)
-    return engine.normal_form(word)
 
 
 def substitute_generator(presentation, gen, new_name, expression):

@@ -3,7 +3,9 @@ groups, and word-problem engine selection."""
 
 import re
 
-from submon.words import Alphabet, Word, Presentation, GroupHom, WordError
+from submon.words import (
+    Alphabet, Word, Presentation, GroupHom, WordError, WordProblem,
+)
 from submon.rewrite import DehnEngine, DehnError
 from submon.magnus import BrittonEngine, MagnusError, substitute_generator
 
@@ -152,30 +154,24 @@ def _same_presentation(p, q):
             == tuple(r.letters for r in q.relators))
 
 
-class EngineInfo:
-    """Uniform word-problem interface: a name, an implementation, and an
-    optional translation applied to queries first."""
+class EngineInfo(WordProblem):
+    """A word-problem engine reached through a change of generators: each
+    query is translated into the inner engine's presentation first."""
 
-    def __init__(self, name, impl, translate=None):
+    def __init__(self, name, impl, translate):
         self.name = name
         self._impl = impl
         self._translate = translate
 
     def is_trivial(self, word):
-        if self._translate is not None:
-            word = self._translate(word)
-        return self._impl.is_trivial(word)
-
-    def equal(self, u, v):
-        return self.is_trivial(u * ~v)
-
-    def __repr__(self):
-        return f"EngineInfo({self.name})"
+        return self._impl.is_trivial(self._translate(word))
 
 
-class BsEngine:
+class BsEngine(WordProblem):
     """Pinch-stack word problem for the two-generator one-stable-letter
     presentation t a^m t^-1 = a^n; sound and complete for all nonzero m, n."""
+
+    name = "bs-pinch"
 
     def __init__(self, m, n, alphabet=None):
         if m == 0 or n == 0:
@@ -229,9 +225,6 @@ class BsEngine:
             return stack[0][1]
         return None
 
-    def equal(self, u, v):
-        return self.is_trivial(u * ~v)
-
 
 def parse_bs_relator(presentation):
     """(m, n) when the one relator spells t a^m t^-1 a^-n around a stable
@@ -281,10 +274,12 @@ def substituted_engine(presentation):
     expression = f"{fresh} {stable}'"
     new_pres, forward = substitute_generator(presentation, replaced, fresh, expression)
     inner = BrittonEngine(new_pres, stable)
-    return EngineInfo("britton+substitution", inner, translate=forward.apply)
+    return EngineInfo("britton+substitution", inner, forward.apply)
 
 
-class _FreeEngine:
+class _FreeEngine(WordProblem):
+    name = "free"
+
     def is_trivial(self, word):
         return not word.free_reduce()
 
@@ -292,20 +287,17 @@ class _FreeEngine:
 def select_engine(presentation):
     """Best available word-problem engine for a presentation, or None."""
     if not presentation.relators:
-        return EngineInfo("free", _FreeEngine())
+        return _FreeEngine()
     try:
-        return EngineInfo("dehn", DehnEngine(presentation))
+        return DehnEngine(presentation)
     except (DehnError, WordError):
         pass
     for stable in presentation.alphabet.names:
         try:
-            return EngineInfo("britton", BrittonEngine(presentation, stable))
+            return BrittonEngine(presentation, stable)
         except (MagnusError, WordError):
             continue
     bs = parse_bs_relator(presentation)
     if bs is not None:
-        return EngineInfo("bs-pinch", BsEngine(bs[0], bs[1], presentation.alphabet))
-    sub = substituted_engine(presentation)
-    if sub is not None:
-        return sub
-    return None
+        return BsEngine(bs[0], bs[1], presentation.alphabet)
+    return substituted_engine(presentation)

@@ -15,7 +15,7 @@ condition C'(1/6).
 
 from fractions import Fraction
 
-from submon.words import Word, WordError
+from submon.words import Word, WordError, WordProblem, invert_letters
 
 
 class RewriteError(ValueError):
@@ -230,8 +230,10 @@ class DehnError(ValueError):
     pass
 
 
-class DehnEngine:
+class DehnEngine(WordProblem):
     """Word problem for strict C'(1/6) one-relator presentations."""
+
+    name = "dehn"
 
     def __init__(self, presentation):
         report = small_cancellation_check(presentation)
@@ -253,8 +255,7 @@ class DehnEngine:
                 piece = rot[:L]
                 for i in range(len(letters) - L + 1):
                     if letters[i:i + L] == piece:
-                        rest = rot[L:]
-                        repl = tuple(-x for x in reversed(rest))
+                        repl = invert_letters(rot[L:])
                         return letters[:i] + repl + letters[i + L:]
         return None
 
@@ -267,10 +268,3 @@ class DehnEngine:
                 return False
             letters = Word(self.alphabet, nxt).free_reduce().letters
         return True
-
-    def equal(self, u, v):
-        return self.is_trivial(u * ~v)
-
-
-def dehn_word_problem(presentation, word):
-    return DehnEngine(presentation).is_trivial(word)

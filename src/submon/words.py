@@ -79,6 +79,10 @@ class Alphabet:
         return Word.parse(self, text)
 
 
+def invert_letters(letters):
+    return tuple(-x for x in reversed(letters))
+
+
 def _reduce_letters(letters):
     out = []
     for x in letters:
@@ -226,16 +230,29 @@ class Word:
         return self.format()
 
 
-def free_reduce(word):
-    return word.free_reduce()
+def solve_relator(letters, j, positive, invert):
+    """Solve a relator for the letter at position j, occurring there once.
+
+    The relator P x S = 1 gives x = (S P)^-1 and P x^-1 S = 1 gives x = S P:
+    the rest of the relator read cyclically from after the letter, inverted
+    when the letter is positive.  `invert` inverts a sequence of letters;
+    the result is not freely reduced.
+    """
+    rest = letters[j + 1:] + letters[:j]
+    return invert(rest) if positive else rest
 
 
-def cyclic_reduce(word):
-    return word.cyclic_reduce()
+class WordProblem:
+    """A word-problem engine: subclasses name themselves and decide
+    `is_trivial`; equality is triviality of the quotient."""
 
+    name = None
 
-def exponent_sum(word, gen):
-    return word.exponent_sum(gen)
+    def is_trivial(self, word):
+        raise NotImplementedError
+
+    def equal(self, u, v):
+        return self.is_trivial(u * ~v)
 
 
 class Presentation:
@@ -376,6 +393,3 @@ class GroupHom:
         )
         return f"GroupHom({pairs})"
 
-
-def apply_hom(hom, word):
-    return hom.apply(word)

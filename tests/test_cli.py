@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import submon.cli
 from submon.cli import main, resolve_group, split_list
 
 
@@ -159,6 +162,31 @@ def test_error_exit_code(capsys):
                        "--gens", "a", "--word", "a")
     assert code == 3
     assert "cannot resolve group" in err
+
+
+def test_usage_error_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "--group", "S2"])
+    assert exc.value.code == 3
+    assert "required" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("witness failed verification")
+
+    monkeypatch.setattr(submon.cli, "decide_surface_submonoid", broken)
+    code, _, err = run(capsys, "member", "--group", "S2",
+                       "--gens", "a", "--word", "a")
+    assert code == 4
+    assert "internal error: AssertionError" in err
+
+
+def test_engineless_member_exits_unknown(capsys):
+    code, out, _ = run(capsys, "member", "--group", "gens: a b;rel: aabbb",
+                       "--gens", "a", "--word", "BBB")
+    assert code == 2
+    assert "verdict: unknown" in out
 
 
 def test_depth_option(capsys):

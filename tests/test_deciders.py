@@ -225,6 +225,17 @@ def test_surface_submonoid_routes():
     assert v.is_member and v.witness == []
 
 
+def test_engineless_search_miss_is_unknown():
+    """b^-3 = a^2 in <a, b | a^2 b^3>, so BBB lies in Mon<a>; no engine
+    applies, and a search that only covered the free group proves
+    nothing."""
+    pres = Presentation.parse("gens: a b\nrel: aabbb")
+    assert select_engine(pres) is None
+    v = decide_surface_submonoid(pres, ["a"], "BBB")
+    assert v.is_unknown
+    assert "exhausted" not in v.certificate
+
+
 def test_dg_instance_shape():
     S2 = surface_presentation(2)
     inst = reduce_to_dg_instance(S2, "a", ["b", "b c"], query="b c b")

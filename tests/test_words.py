@@ -2,10 +2,7 @@ import random
 
 import pytest
 
-from submon.words import (
-    Alphabet, Word, Presentation, GroupHom, WordError,
-    free_reduce, cyclic_reduce, exponent_sum,
-)
+from submon.words import Alphabet, Word, Presentation, GroupHom, WordError
 
 AB = Alphabet(["a", "b"])
 ABCD = Alphabet(["a", "b", "c", "d"])
@@ -69,7 +66,7 @@ def test_constructor_keeps_raw_letters():
 def test_free_reduce():
     assert Word.parse(AB, "AAaBB").free_reduce().format() == "ABB"
     assert Word.parse(AB, "abBA").free_reduce().format() == ""
-    assert free_reduce(Word.parse(AB, "aabBAA")).format() == ""
+    assert Word.parse(AB, "aabBAA").free_reduce().format() == ""
 
 
 def test_mul_and_inverse():
@@ -94,7 +91,7 @@ def test_cyclic_reduce():
     assert core.format() == "A"
     assert conj.format() == "aab"
     assert (conj * core * ~conj).format() == w.free_reduce().format()
-    core2, conj2 = cyclic_reduce(Word.parse(AB, "ab"))
+    core2, conj2 = Word.parse(AB, "ab").cyclic_reduce()
     assert core2.format() == "ab" and conj2.letters == ()
 
 
@@ -102,7 +99,7 @@ def test_exponent_sum():
     w = Word.parse(AB, "aabAB")
     assert w.exponent_sum("a") == 1
     assert w.exponent_sum("b") == 0
-    assert exponent_sum(w, 0) == 1
+    assert w.exponent_sum(0) == 1
     with pytest.raises(WordError):
         w.exponent_sum("z")
 
