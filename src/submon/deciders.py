@@ -80,8 +80,7 @@ def _certified_search(gens, labels, word, engine, bound=None, budget=None,
     if res.found:
         return _verified_member(engine, gens, labels, res.witness, word,
                                 methods, certificate, bound=depth)
-    if (engine is not None and bound is not None and depth >= bound
-            and res.complete and res.certified):
+    if bound is not None and depth >= bound and res.complete and res.certified:
         cert = dict(certificate or {})
         cert["exhausted"] = depth
         return Verdict.non_member(cert, methods=methods, bound=depth)

@@ -10,7 +10,10 @@ have.  Certificates producing such budgets:
 
 * `positive_functional`: an integer functional on the generators killing
   the relators and taking value >= 1 on every monoid generator; factor
-  count is at most the functional value.
+  count is at most the functional value.  The integer box is scanned only
+  after an exact elimination over the rationals finds that such a
+  functional exists at all; the system is homogeneous, so when none does
+  the scan would return None too.
 
 * `code_certificate`: after greedily removing redundant generators, the
   rest form a code with no boundary cancellation; factor count over the
@@ -23,6 +26,7 @@ budgets allow.
 """
 
 import itertools
+import math
 
 from submon.words import Alphabet, Word, GroupHom
 from submon.automata import SaturatedAcceptor, is_code, no_cancellation
@@ -121,12 +125,71 @@ def midpoint_certificate(alphabet, gens):
     return MidpointReport(alphabet, words, suffixes, rows, failures)
 
 
+# Fourier-Motzkin can square the row count at each elimination; past this
+# many pairs in one step the check gives up and leaves the answer to the
+# box scan, which is always correct.
+_MAX_PAIRS = 4096
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return tuple(c // g for c in row) if g else tuple(row)
+
+
+def _has_rational_functional(rel_vecs, gen_vecs):
+    """Whether some rational psi has rel.psi = 0 for every relator vector
+    and gen.psi > 0 for every generator vector, decided exactly.
+
+    Gaussian elimination substitutes the relator equalities away, then
+    Fourier-Motzkin eliminates the variables from the strict rows.  A
+    substitution or combination only scales a strict row by a positive
+    factor on the solution set, so rows are kept as primitive integer
+    vectors in a set, which drops duplicates; a zero row reads 0 > 0.
+    Returns True, leaving the question open, when a step would combine
+    more than `_MAX_PAIRS` pairs of rows.
+    """
+    if not gen_vecs:
+        return True
+    rows = {_primitive(g) for g in gen_vecs}
+    eqs = [r for r in rel_vecs if any(r)]
+    while eqs:
+        e = eqs.pop()
+        j = next(i for i, c in enumerate(e) if c)
+        s = 1 if e[j] > 0 else -1
+
+        def sub(row):
+            return _primitive([abs(e[j]) * a - s * row[j] * b
+                               for a, b in zip(row, e)])
+        eqs = [r for r in map(sub, eqs) if any(r)]
+        rows = {sub(r) for r in rows}
+    columns = set(range(len(gen_vecs[0])))
+    while rows and columns:
+        if not all(map(any, rows)):
+            return False
+
+        def split(j):
+            pos = [r for r in rows if r[j] > 0]
+            neg = [r for r in rows if r[j] < 0]
+            return len(pos) * len(neg) - len(pos) - len(neg), j, pos, neg
+        _, j, pos, neg = min(map(split, columns))
+        if len(pos) * len(neg) > _MAX_PAIRS:
+            return True
+        columns.discard(j)
+        rows = {r for r in rows if r[j] == 0} | {
+            _primitive([-q[j] * a + p[j] * b for a, b in zip(p, q)])
+            for p in pos for q in neg}
+    return not rows
+
+
 def positive_functional(presentation, gens, radius=8):
     """Integer functional on generators, zero on every relator's exponent
     vector and >= 1 on every given word; None if the box search fails.
 
     Scans outward by infinity norm, so a found solution is minimal in that
-    sense and deterministic.
+    sense and deterministic.  The system is homogeneous, so it has an
+    integer solution exactly when it has a rational one; when an exact
+    elimination finds none, the scan could find nothing either and is
+    skipped, and the answer is None all the same.
     """
     alphabet = presentation.alphabet
     k = len(alphabet)
@@ -145,6 +208,8 @@ def positive_functional(presentation, gens, radius=8):
 
     rel_vecs = [vec(r) for r in presentation.relators]
     gen_vecs = [vec(w) for w in gens]
+    if not _has_rational_functional(rel_vecs, gen_vecs):
+        return None
     for r in range(radius + 1):
         for point in itertools.product(range(-r, r + 1), repeat=len(involved)):
             if point and max(abs(c) for c in point) != r:
@@ -303,9 +368,10 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
 
     States are freely reduced words of products, deduplicated; a backward
     meet set of target times inverted generators gives early witnesses.
-    Without an engine the free group is the group, so exhausting the depth
-    certifies non-membership; with an engine, states are additionally
-    compared to the target through it when the check budget allows.
+    With an engine, states are additionally compared to the target through
+    it when the check budget allows, and only then does exhausting the
+    depth certify non-membership; without one the search covered only the
+    free group, which the presented group may be a proper quotient of.
     """
     alphabet = target.alphabet
     words = [w.free_reduce() for w in gens]
@@ -356,10 +422,7 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
                     return SearchResult(False, None, False, False,
                                         len(states), depth, "search")
         frontier = nxt
-    if engine is None:
-        return SearchResult(False, None, complete, complete,
-                            len(states), depth, "search")
-    if len(states) <= budget.group_checks:
+    if engine is not None and len(states) <= budget.group_checks:
         for u in states:
             if engine.is_trivial(Word(alphabet, u) * ~target):
                 wit = path(u)

@@ -1,6 +1,10 @@
+import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from submon.words import Alphabet, Word, Presentation
+from submon.presentations import select_engine
 from submon.rewrite import DehnEngine
 from submon.distortion import (
     DistortionBudget, compose_budget, half_suffix, midpoint_certificate,
@@ -140,6 +144,89 @@ def test_positive_functional_surface_prefixes_none():
     assert positive_functional(pres, prefixes, radius=2) is None
 
 
+def box_scan_functional(presentation, gens, radius=8):
+    """Reference: the plain box scan that `positive_functional` runs after
+    its exact feasibility check."""
+    alphabet = presentation.alphabet
+    involved = sorted({
+        abs(x) - 1
+        for w in list(gens) + list(presentation.relators)
+        for x in w.letters
+    })
+    if not involved:
+        return {name: 0 for name in alphabet.names} if all(not w for w in gens) else None
+    while (2 * radius + 1) ** len(involved) > 500_000 and radius > 1:
+        radius -= 1
+
+    def vec(word):
+        return [word.exponent_sum(g) for g in involved]
+
+    rel_vecs = [vec(r) for r in presentation.relators]
+    gen_vecs = [vec(w) for w in gens]
+    for r in range(radius + 1):
+        for point in itertools.product(range(-r, r + 1), repeat=len(involved)):
+            if point and max(abs(c) for c in point) != r:
+                continue
+            if any(sum(c * v for c, v in zip(point, rv)) != 0 for rv in rel_vecs):
+                continue
+            if all(sum(c * v for c, v in zip(point, gv)) >= 1 for gv in gen_vecs):
+                psi = {name: 0 for name in alphabet.names}
+                for g, c in zip(involved, point):
+                    psi[alphabet.names[g]] = c
+                return psi
+    return None
+
+
+@st.composite
+def functional_cases(draw):
+    k = draw(st.integers(1, 4))
+    alphabet = Alphabet("abcd"[:k])
+    letter = st.sampled_from([s * i for i in range(1, k + 1) for s in (1, -1)])
+
+    def words(min_size, max_size):
+        return st.lists(letter, min_size=min_size, max_size=max_size).map(
+            lambda letters: Word(alphabet, letters))
+    relators = draw(st.lists(words(1, 8), max_size=1))
+    gens = draw(st.lists(words(0, 5), max_size=4))
+    radius = draw(st.integers(1, 4))
+    return Presentation(alphabet, relators), gens, radius
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(functional_cases())
+def test_positive_functional_matches_box_scan(case):
+    pres, gens, radius = case
+    assert (positive_functional(pres, gens, radius)
+            == box_scan_functional(pres, gens, radius))
+
+
+def test_positive_functional_infeasible_genus_two():
+    abcd = Alphabet(["a", "b", "c", "d"])
+    pres = Presentation(abcd, [W(abcd, "abABcdCD")])
+    for texts in (["c", "C"], ["D", "c", "a", "A"]):
+        assert positive_functional(pres, [W(abcd, t) for t in texts]) is None
+
+
+def test_positive_functional_solution_outside_small_boxes():
+    pres = Presentation(XY, [])
+    gens = [W(XY, "xYY"), W(XY, "Xy")]
+    assert positive_functional(pres, gens, radius=1) is None
+    assert positive_functional(pres, gens, radius=2) is None
+    assert positive_functional(pres, gens, radius=3) == {"x": -3, "y": -2}
+
+
+def test_positive_functional_nine_generators_over_eight_letters():
+    letters = "abcdefgh"
+    alphabet = Alphabet(list(letters))
+    pres = Presentation(alphabet, [])
+    # adjacent pairs around a cycle force a positive letter sum, which the
+    # inverse of the full product then contradicts
+    gens = [W(alphabet, letters[i] + letters[(i + 1) % 8]) for i in range(8)]
+    gens.append(W(alphabet, "ABCDEFGH"))
+    assert positive_functional(pres, gens) is None
+    assert box_scan_functional(pres, gens, radius=1) is None
+
+
 def test_code_certificate():
     gens = [W(XY, t) for t in ["x", "yx", "y", "yXYx"]]
     cert = code_certificate(XY, gens)
@@ -186,18 +273,30 @@ def test_bounded_search_member():
 def test_bounded_search_depth_budget():
     gens = [W(AB, "ab")]
     target = W(AB, "ab") ** 6
-    shallow = bounded_search(gens, target, SearchBudget(max_depth=2))
+    free = select_engine(Presentation(AB, []))
+    shallow = bounded_search(gens, target, SearchBudget(max_depth=2),
+                             engine=free)
     assert not shallow.found
     assert shallow.complete and shallow.certified  # not a product of <= 2
-    deep = bounded_search(gens, target, SearchBudget(max_depth=6))
+    deep = bounded_search(gens, target, SearchBudget(max_depth=6),
+                          engine=free)
     assert deep.found and deep.witness == [0] * 6
 
 
 def test_bounded_search_certified_nonmember():
     gens = [W(AB, "ab"), W(AB, "bA")]
-    res = bounded_search(gens, W(AB, "ba"), SearchBudget(max_depth=6))
+    res = bounded_search(gens, W(AB, "ba"), SearchBudget(max_depth=6),
+                         engine=select_engine(Presentation(AB, [])))
     assert not res.found
     assert res.complete and res.certified
+
+
+def test_bounded_search_without_engine_certifies_nothing():
+    # in <a, b | a^2 b^3>, b^-3 = a^2 lies in Mon<a>, but no free product
+    # of a spells BBB, so the free-group search exhausts its depth
+    res = bounded_search([W(AB, "a")], W(AB, "BBB"), SearchBudget(max_depth=4))
+    assert not res.found
+    assert res.complete and not res.certified
 
 
 def test_bounded_search_group_equality():
