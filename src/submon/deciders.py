@@ -3,9 +3,19 @@
 Every decision returns a Verdict.  Member verdicts carry a witness that is
 re-verified against a word-problem engine before being returned; non-member
 verdicts carry a certificate (a sign obstruction, an exhausted certified
-search bound, or a normal-form letter outside the allowed set); everything
-else is an honest unknown, with a machine-readable instance attached when
-one can be built.
+search bound, a normal-form letter outside the allowed set, or an image
+outside the image submonoid); everything else is an honest unknown, naming
+the search budget that ran out, with a machine-readable instance attached
+when one can be built.
+
+On surface groups every route tries the image route before it searches.
+Each free collapse f of the group (`free_collapses`) maps a product of
+generators to the product of their images, so when the Benois acceptor
+rejects f(w) for Mon<f(gens)>, w is a non-member (method "image", with the
+collapse and f(w) in the certificate); when the acceptor's factorization of
+f(w), multiplied out over the generators, equals w in the group, w is a
+member (method "image-lift").  Otherwise the next collapse, then the
+search, decides.
 """
 
 from math import gcd
@@ -14,19 +24,19 @@ from submon.words import (
     Alphabet, Word, Presentation, GroupHom, invert_letters, solve_relator,
 )
 from submon.magnus import (
-    MagnusError, magnus_rewrite, max_min_report, interval_presentation,
-    HnnData, BrittonEngine, FbcGroup, sub_name, sub_invert,
-    substitute_generator,
+    MagnusError, magnus_rewrite, interval_presentation, HnnData,
+    BrittonEngine, FbcGroup, sub_name, sub_invert, substitute_generator,
+    _qualifying_generator,
 )
-from submon.automata import StallingsGraph, no_cancellation
+from submon.automata import StallingsGraph, SaturatedAcceptor, no_cancellation
 from submon.distortion import (
     DistortionBudget, SearchBudget, bounded_search, positive_functional,
     functional_value, free_image_graded,
 )
 from submon.presentations import (
     surface_presentation, nonorientable_presentation, bs_presentation,
-    burns_presentation, prefix_generators, collapse_hom, select_engine,
-    BsEngine,
+    burns_presentation, prefix_generators, collapse_hom, free_collapses,
+    select_engine, BsEngine,
 )
 from submon.rewrite import bs_system, closure_membership, ClosureError
 from submon.verdict import Verdict
@@ -47,16 +57,20 @@ def _parse_word(presentation, item):
     return item if isinstance(item, Word) else presentation.word(item)
 
 
+def _product(gens, picks, alphabet):
+    prod = Word(alphabet, ())
+    for i in picks:
+        prod = prod * gens[i]
+    return prod
+
+
 def _verified_member(engine, gens, labels, picks, word, methods,
                      certificate=None, bound=None):
     """The one exit for a member verdict with a witness: the product of the
     picked generators is checked against the query through the engine
     first, by an explicit raise that `python -O` keeps."""
     if engine is not None:
-        prod = Word(word.alphabet, ())
-        for i in picks:
-            prod = prod * gens[i]
-        if not engine.equal(prod, word):
+        if not engine.equal(_product(gens, picks, word.alphabet), word):
             raise AssertionError("witness failed verification")
     return Verdict.member([labels[i] for i in picks], methods=methods,
                           certificate=certificate, bound=bound)
@@ -85,8 +99,48 @@ def _certified_search(gens, labels, word, engine, bound=None, budget=None,
         cert["exhausted"] = depth
         return Verdict.non_member(cert, methods=methods, bound=depth)
     methods.append("semi-decision")
-    return Verdict.unknown(methods=methods, certificate=certificate,
+    return Verdict.unknown(methods=methods,
+                           certificate=dict(certificate or {}, limit=res.limit),
                            instance=instance, bound=depth)
+
+
+class _ImageRoute:
+    """Exact images of queries under the presentation's free collapses.
+
+    A homomorphism f onto a free group sends a product of generators to
+    the product of their images.  So f(w) outside Mon<f(gens)>, which the
+    acceptor decides exactly, proves w outside Mon<gens>; and an image
+    factorization whose generator product equals w in the group proves
+    membership.  One acceptor per collapse, built when a query first
+    needs it.
+    """
+
+    def __init__(self, presentation, gens, labels, engine):
+        self.collapses = free_collapses(presentation)
+        self.gens = gens
+        self.labels = labels
+        self.engine = engine
+        self._acceptors = {}
+
+    def decide(self, word, methods, certificate=None, bound=None):
+        """A verdict from the first collapse that settles the query, or
+        None when none does."""
+        for name, f in self.collapses:
+            if name not in self._acceptors:
+                self._acceptors[name] = SaturatedAcceptor(
+                    f.target, [f(g) for g in self.gens])
+            image = f(word)
+            picks = self._acceptors[name].witness(image)
+            if picks is None:
+                cert = dict(certificate or {}, hom=name, image=image.format(),
+                            reason="image outside the image submonoid")
+                return Verdict.non_member(cert, methods=methods + ["image"])
+            if self.engine.equal(_product(self.gens, picks, word.alphabet),
+                                 word):
+                return _verified_member(self.engine, self.gens, self.labels,
+                                        picks, word, methods + ["image-lift"],
+                                        certificate, bound=bound)
+        return None
 
 
 class DgInstance:
@@ -155,14 +209,10 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
     labels = [w.format() for w in gens]
     if query is not None:
         query = _parse_word(presentation, query)
-    report = max_min_report(presentation, stable)
-    if report.sigma != 0:
-        raise DeciderError(
-            f"relator exponent sum of {stable!r} is {report.sigma}, need 0")
-    if not report.passes:
-        raise DeciderError(
-            "no generator attains its extreme subscripts exactly once")
-    gen = report.qualifying[0]
+    try:
+        report, gen = _qualifying_generator(presentation, stable, None)
+    except MagnusError as e:
+        raise DeciderError(str(e)) from None
     alphabet = presentation.alphabet
     names = alphabet.names
     t_letter = alphabet.letter(stable)
@@ -189,10 +239,6 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
     all_triples = [t for _, ts in decomps for t in ts]
     if query_decomp is not None:
         all_triples.extend(query_decomp[1])
-    for g, s, _ in all_triples:
-        if names[g] not in report.stats:
-            raise DeciderError(
-                f"generator {names[g]!r} does not occur in the relator")
     lows = [s - report.stats[names[g]]["min"] for g, s, _ in all_triples]
     highs = [s - report.stats[names[g]]["max"] for g, s, _ in all_triples]
     n = min(lows, default=0)
@@ -226,7 +272,9 @@ def decide_surface_submonoid(presentation, gens, word, budget=None,
 
     Routes, in order: positive functional (complete), graded free image
     (complete when the composed bound fits the budget), window instance
-    plus bounded search (member or unknown).
+    plus bounded search (member or unknown).  On surface groups each route
+    runs the image route first, with one acceptor per collapse for this
+    generating set, and searches only when no collapse settles the query.
     """
     gens = _parse_words(presentation, gens)
     word = _parse_word(presentation, word)
@@ -245,6 +293,7 @@ def decide_surface_submonoid(presentation, gens, word, budget=None,
         return Verdict.unknown(methods=["identity"])
 
     methods = []
+    image_route = _ImageRoute(presentation, gens, labels, engine)
     psi = positive_functional(presentation, gens)
     if psi is not None:
         val = functional_value(psi, word)
@@ -258,11 +307,12 @@ def decide_surface_submonoid(presentation, gens, word, budget=None,
                 cert["reason"] = "only the empty product has value 0"
                 return Verdict.non_member(cert, methods=methods)
             return Verdict.unknown(methods=methods, certificate=cert)
-        return _certified_search(gens, labels, word, engine, bound=val,
-                                 budget=budget, methods=methods,
-                                 certificate=cert)
+        return (image_route.decide(word, methods, cert, val)
+                or _certified_search(gens, labels, word, engine, bound=val,
+                                     budget=budget, methods=methods,
+                                     certificate=cert))
 
-    f = collapse_hom(presentation)
+    f = dict(image_route.collapses).get("collapse")
     if f is not None:
         graded = free_image_graded(presentation, f, gens)
         if graded is not None:
@@ -274,10 +324,14 @@ def decide_surface_submonoid(presentation, gens, word, budget=None,
                 "offset": graded.budget.offset,
                 "stretch": graded.data.get("stretch"),
             }
-            return _certified_search(gens, labels, word, engine, bound=bound,
-                                     budget=budget, methods=methods,
-                                     certificate=cert)
+            return (image_route.decide(word, methods, cert, bound)
+                    or _certified_search(gens, labels, word, engine,
+                                         bound=bound, budget=budget,
+                                         methods=methods, certificate=cert))
 
+    verdict = image_route.decide(word, methods)
+    if verdict is not None:
+        return verdict
     instance = None
     if presentation.is_one_relator:
         for stable in presentation.alphabet.names:
@@ -398,7 +452,9 @@ def _nonorientable_magnus(pres, gens, lits, labels, word, budget,
 
 class PrefixDecider:
     """Membership in the monoid generated by the relator prefixes, with a
-    shared forward product table across queries."""
+    shared forward product table across queries.  A query missing from
+    the table goes to the image route, whose acceptors are built once per
+    decider, and only then to the search."""
 
     def __init__(self, g, orientable):
         self.presentation, self.gens = prefix_generators(g, orientable)
@@ -421,6 +477,8 @@ class PrefixDecider:
                                "stretch": graded.data["stretch"],
                                "slope": graded.budget.slope,
                                "offset": graded.budget.offset}
+        self._image = _ImageRoute(self.presentation, self.gens, self.labels,
+                                  self.engine)
         self._table = {(): None}
         self._frontier = [()]
         self._depth = 0
@@ -473,9 +531,10 @@ class PrefixDecider:
             return _verified_member(self.engine, self.gens, self.labels,
                                     self._path(w0.letters), word,
                                     methods + ["table"], cert, bound=bound)
-        return _certified_search(self.gens, self.labels, word, self.engine,
-                                 bound=bound, budget=budget,
-                                 methods=methods, certificate=cert)
+        return (self._image.decide(word, methods, cert, bound)
+                or _certified_search(self.gens, self.labels, word, self.engine,
+                                     bound=bound, budget=budget,
+                                     methods=methods, certificate=cert))
 
 
 _PREFIX_CACHE = {}

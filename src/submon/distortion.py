@@ -349,7 +349,8 @@ class SearchBudget:
 
 
 class SearchResult:
-    def __init__(self, found, witness, complete, certified, states, depth, method):
+    def __init__(self, found, witness, complete, certified, states, depth,
+                 method, limit=None):
         self.found = found
         self.witness = witness
         self.complete = complete    # every product up to the depth enumerated
@@ -357,10 +358,14 @@ class SearchResult:
         self.states = states
         self.depth = depth
         self.method = method
+        # the budget that ran out: "max_states", "max_depth", "group_checks"
+        # or None
+        self.limit = limit
 
     def __repr__(self):
         return (f"SearchResult(found={self.found}, depth={self.depth}, "
-                f"complete={self.complete}, certified={self.certified})")
+                f"complete={self.complete}, certified={self.certified}, "
+                f"limit={self.limit})")
 
 
 def bounded_search(gens, target, budget, engine=None, meet_levels=1):
@@ -372,6 +377,9 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
     it when the check budget allows, and only then does exhausting the
     depth certify non-membership; without one the search covered only the
     free group, which the presented group may be a proper quotient of.
+    A miss names in `limit` the budget that ran out: the state table, the
+    depth with products still unexplored, or the group checks that an
+    engine needed to certify.
     """
     alphabet = target.alphabet
     words = [w.free_reduce() for w in gens]
@@ -420,8 +428,10 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
                 nxt.append(q)
                 if len(states) >= budget.max_states:
                     return SearchResult(False, None, False, False,
-                                        len(states), depth, "search")
+                                        len(states), depth, "search",
+                                        "max_states")
         frontier = nxt
+    limit = "max_depth" if frontier else None
     if engine is not None and len(states) <= budget.group_checks:
         for u in states:
             if engine.is_trivial(Word(alphabet, u) * ~target):
@@ -429,6 +439,8 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
                 return SearchResult(True, wit, complete, False,
                                     len(states), depth, "search+group-eq")
         return SearchResult(False, None, complete, True,
-                            len(states), depth, "search+group-eq")
+                            len(states), depth, "search+group-eq", limit)
+    if engine is not None:
+        limit = "group_checks"
     return SearchResult(False, None, complete, False,
-                        len(states), depth, "search")
+                        len(states), depth, "search", limit)

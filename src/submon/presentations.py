@@ -1,6 +1,7 @@
 """Built-in presentations, prefix generating sets, collapse maps onto free
 groups, and word-problem engine selection."""
 
+import functools
 import re
 
 from submon.words import (
@@ -8,6 +9,7 @@ from submon.words import (
 )
 from submon.rewrite import DehnEngine, DehnError
 from submon.magnus import BrittonEngine, MagnusError, substitute_generator
+from submon.distortion import dehn_twist_hom
 
 
 def surface_presentation(g):
@@ -115,37 +117,66 @@ def n2_functional_hom():
     return GroupHom.from_dict(pres.alphabet, _X1, {"c": "x", "d": "x'"})
 
 
+def _standard_genus(presentation, orientable):
+    """g when the presentation is the standard orientable (or
+    non-orientable) genus-g one, None otherwise."""
+    k = len(presentation.alphabet)
+    g = k // 2 if orientable else k
+    if g < 2 or (orientable and k % 2):
+        return None
+    std = surface_presentation(g) if orientable else nonorientable_presentation(g)
+    return g if _same_presentation(presentation, std) else None
+
+
+def _from_genus_2(f, alphabet, g, orientable):
+    """f, a map of the genus-2 group, after the pinch of the genus-g group
+    onto it that keeps the first and the last handle (cross-cap) and kills
+    the others."""
+    if g == 2:
+        return f
+    if orientable:
+        pinch = GroupHom.from_dict(
+            alphabet, surface_presentation(2).alphabet,
+            {"a1": "a", "b1": "b", f"a{g}": "c", f"b{g}": "d"})
+    else:
+        pinch = GroupHom.from_dict(
+            alphabet, nonorientable_presentation(2).alphabet,
+            {"a1": "c", f"a{g}": "d"})
+    return f.compose(pinch)
+
+
 def collapse_hom(presentation):
     """Free-group collapse for a recognized standard surface presentation,
     None otherwise."""
-    alphabet = presentation.alphabet
-    k = len(alphabet)
-    if k % 2 == 0 and k >= 4:
-        g = k // 2
-        std = surface_presentation(g)
-        if _same_presentation(presentation, std):
-            rho = s2_retraction()
-            if g == 2:
-                return rho
-            phi = GroupHom.from_dict(
-                alphabet, surface_presentation(2).alphabet,
-                {"a1": "a", "b1": "b", f"a{g}": "c", f"b{g}": "d"})
-            return rho.compose(phi)
-    if k >= 2:
-        g = k
-        try:
-            std = nonorientable_presentation(g)
-        except WordError:
-            std = None
-        if std is not None and _same_presentation(presentation, std):
-            sigma = n2_functional_hom()
-            if g == 2:
-                return sigma
-            phi = GroupHom.from_dict(
-                alphabet, nonorientable_presentation(2).alphabet,
-                {"a1": "c", f"a{g}": "d"})
-            return sigma.compose(phi)
+    for orientable, base in ((True, s2_retraction), (False, n2_functional_hom)):
+        g = _standard_genus(presentation, orientable)
+        if g is not None:
+            return _from_genus_2(base(), presentation.alphabet, g, orientable)
     return None
+
+
+def free_collapses(presentation):
+    """Homomorphisms of the presented group onto free groups, as (name, map)
+    pairs in the order the image route tries them: `collapse_hom`, then for
+    S_g the collapse of S_2 that Dehn-twists the second handle once, after
+    the pinch onto S_2.  Only maps that kill every relator are kept."""
+    return _free_collapses(presentation.alphabet,
+                           tuple(r.letters for r in presentation.relators))
+
+
+@functools.lru_cache(maxsize=64)
+def _free_collapses(alphabet, relators):
+    presentation = Presentation(alphabet, [Word(alphabet, r) for r in relators])
+    out = []
+    f = collapse_hom(presentation)
+    if f is not None:
+        out.append(("collapse", f))
+    g = _standard_genus(presentation, True)
+    if g is not None:
+        out.append(("dehn-twist",
+                    _from_genus_2(dehn_twist_hom(1), alphabet, g, True)))
+    return tuple((name, f) for name, f in out
+                 if f.check_presentation(presentation))
 
 
 def _same_presentation(p, q):

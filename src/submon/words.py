@@ -382,6 +382,12 @@ class GroupHom:
             inner.source, self.target, [self.apply(w) for w in inner.images]
         )
 
+    def check_presentation(self, presentation):
+        """Whether this map, into a free group, kills every relator of the
+        presentation, and so is a homomorphism of the group it presents."""
+        return (presentation.alphabet == self.source
+                and not any(self.apply(r) for r in presentation.relators))
+
     @property
     def max_image_length(self):
         """Largest reduced image length of a generator (the constant C)."""

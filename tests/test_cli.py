@@ -120,6 +120,12 @@ def test_reduce_dg_command(capsys):
     assert data["window"] == [0, 1]
     assert data["groups"] == {"W0": ["b", "bc"]}
     assert data["query"] == {"j": 0, "u": "b[0] c[0] b[0]"}
+    # no generator of BS(2, 3) qualifies for t, and a has a nonzero
+    # exponent sum: both are precondition failures
+    for stable in ("t", "a"):
+        code, _, err = run(capsys, "reduce-dg", "--group", "BS 2 3",
+                           "--stable", stable, "--gens", "a")
+        assert code == 3, err
 
 
 def test_gadget_command(capsys):

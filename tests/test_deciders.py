@@ -11,8 +11,10 @@ import submon
 from submon.words import Alphabet, Word, Presentation, GroupHom
 from submon.presentations import (
     surface_presentation, nonorientable_presentation, bs_presentation,
-    burns_presentation, BsEngine, select_engine,
+    burns_presentation, BsEngine, select_engine, prefix_generators,
+    free_collapses,
 )
+from submon.automata import SaturatedAcceptor
 from submon.magnus import FbcGroup
 from submon.deciders import (
     DeciderError, reduce_to_dg_instance, decide_surface_submonoid,
@@ -203,6 +205,76 @@ def test_prefix_surface_random_products():
             v = decide_prefix_surface(g, orientable, word)
             assert v.is_member, (g, orientable, word.format())
             check_witness(pres, gens, v.witness, word, engine)
+
+
+def _splice_relator(rng, pres, word):
+    rel = pres.relator.letters
+    turn = rng.randrange(len(rel))
+    conj = Word(pres.alphabet, (rng.choice([1, -1]) * rng.randint(
+        1, len(pres.alphabet)),))
+    piece = conj * Word(pres.alphabet, rel[turn:] + rel[:turn]) * ~conj
+    at = rng.randrange(len(word) + 1)
+    return (Word(pres.alphabet, word.letters[:at]) * piece
+            * Word(pres.alphabet, word.letters[at:]))
+
+
+def _check_image_certificate(pres, gens, word, verdict):
+    """The certificate names a collapse f and f(word), and a fresh acceptor
+    for the image monoid rejects f(word)."""
+    f = dict(free_collapses(pres))[verdict.certificate["hom"]]
+    assert verdict.certificate["image"] == f(word).format()
+    acceptor = SaturatedAcceptor(f.target, [f(g) for g in gens])
+    assert not acceptor.member(f(word))
+
+
+def test_prefix_non_members_settled_by_images():
+    # the exponent sum of the first letter is >= 0 on every prefix, so an
+    # inverted product ending in a prefix where it is > 0 is a non-member;
+    # the decider proves it through the free collapses
+    rng = random.Random(66)
+    for g in (2, 3):
+        pres, gens = prefix_generators(g, True)
+        first = pres.alphabet.names[0]
+        positive = [w for w in gens if w.exponent_sum(first) > 0]
+        for _ in range(20):
+            word = Word(pres.alphabet, ())
+            for _ in range(rng.randint(0, 2)):
+                word = word * rng.choice(gens)
+            word = ~(word * rng.choice(positive))
+            if rng.random() < 0.5:
+                word = _splice_relator(rng, pres, word)
+            assert word.exponent_sum(first) < 0
+            v = decide_prefix_surface(g, True, word)
+            assert v.is_non_member and v.methods == ["prefix", "image"], (
+                g, word.format(), v)
+            _check_image_certificate(pres, gens, word, v)
+
+
+def test_magnus_non_member_settled_by_twist():
+    # a, c, C omit b and d; the collapse onto <x, y> sends b into the image
+    # monoid (c and b share the image x' y x), and the twisted collapse
+    # keeps b outside it
+    S2 = surface_presentation(2)
+    v = decide_surface_magnus(2, True, ["a", "c", "C"], "b")
+    assert v.is_non_member and v.methods == ["image"]
+    assert v.certificate == {"hom": "dehn-twist", "image": "b",
+                             "reason": "image outside the image submonoid"}
+    gens = [S2.word(t) for t in ("a", "c", "C")]
+    _check_image_certificate(S2, gens, S2.word("b"), v)
+    collapse = dict(free_collapses(S2))["collapse"]
+    assert SaturatedAcceptor(collapse.target, [collapse(w) for w in gens]
+                             ).member(collapse(S2.word("b")))
+
+
+def test_spliced_member_settled_by_image_lift():
+    S2 = surface_presentation(2)
+    gens = [S2.word("a"), S2.word("a b")]
+    # a . ab with a relator rotation between the factors
+    word = S2.word("a c d c' d' a b a' b' a b")
+    v = decide_surface_submonoid(S2, gens, word)
+    assert v.is_member and v.witness == ["a", "ab"]
+    assert v.methods == ["functional", "image-lift"]
+    check_witness(S2, gens, v.witness, word)
 
 
 def test_surface_submonoid_routes():

@@ -299,6 +299,40 @@ def test_bounded_search_without_engine_certifies_nothing():
     assert res.complete and not res.certified
 
 
+def test_bounded_search_names_the_exhausted_budget():
+    gens = [W(AB, "ab"), W(AB, "bA")]
+    free = select_engine(Presentation(AB, []))
+    # the state table fills before depth 6 is reached
+    res = bounded_search(gens, W(AB, "ba"), SearchBudget(6, max_states=10),
+                         engine=free)
+    assert not res.found and not res.complete
+    assert res.limit == "max_states"
+    # every product up to depth 6 was checked, with products still beyond
+    res = bounded_search(gens, W(AB, "ba"), SearchBudget(6), engine=free)
+    assert res.certified and res.limit == "max_depth"
+    res = bounded_search([W(AB, "a")], W(AB, "BBB"), SearchBudget(4))
+    assert not res.certified and res.limit == "max_depth"
+    # the engine would need more group checks than allowed to certify
+    res = bounded_search(gens, W(AB, "ba"), SearchBudget(6, group_checks=10),
+                         engine=free)
+    assert res.complete and not res.certified
+    assert res.limit == "group_checks"
+    # a witness exhausts nothing
+    res = bounded_search(gens, W(AB, "abbA"), SearchBudget(6), engine=free)
+    assert res.found and res.limit is None
+
+
+def test_unknown_verdicts_name_the_exhausted_budget():
+    from submon.deciders import decide_surface_submonoid
+
+    pres = Presentation.parse("gens: a b\nrel: aabbb")
+    v = decide_surface_submonoid(pres, ["a"], "BBB", SearchBudget(4))
+    assert v.is_unknown and v.certificate["limit"] == "max_depth"
+    v = decide_surface_submonoid(pres, ["a", "b"], "AB",
+                                 SearchBudget(8, max_states=50))
+    assert v.is_unknown and v.certificate["limit"] == "max_states"
+
+
 def test_bounded_search_group_equality():
     abcd = Alphabet(["a", "b", "c", "d"])
     pres = Presentation(abcd, [W(abcd, "abABcdCD")])

@@ -6,8 +6,10 @@ from submon.words import Alphabet, Word, WordError
 from submon.presentations import (
     surface_presentation, nonorientable_presentation, bs_presentation,
     burns_presentation, builtin, prefix_generators, s2_retraction,
-    collapse_hom, select_engine, parse_bs_relator, BsEngine,
+    collapse_hom, free_collapses, select_engine, parse_bs_relator, BsEngine,
 )
+from submon.words import GroupHom
+from submon.distortion import dehn_twist_hom
 
 
 def random_reduced(rng, alphabet, max_len):
@@ -80,6 +82,40 @@ def test_collapse_hom_families():
         assert f.max_image_length == 1
     assert collapse_hom(bs_presentation(2, 3)) is None
     assert collapse_hom(burns_presentation()) is None
+
+
+def test_check_presentation():
+    for pres in (surface_presentation(2), surface_presentation(3),
+                 nonorientable_presentation(2), nonorientable_presentation(3)):
+        assert collapse_hom(pres).check_presentation(pres)
+    S2 = surface_presentation(2)
+    for m in (1, -1):
+        assert dehn_twist_hom(m).check_presentation(S2)
+    # a, c, d -> x and b -> y send abABcdCD to xyXY, not the identity
+    broken = GroupHom.from_dict(S2.alphabet, Alphabet(["x", "y"]),
+                                {"a": "x", "b": "y", "c": "x", "d": "x"})
+    assert broken(S2.relator).format() == "xyXY"
+    assert not broken.check_presentation(S2)
+    # a map from another alphabet is not a map of this group
+    assert not collapse_hom(surface_presentation(3)).check_presentation(S2)
+
+
+def test_free_collapses():
+    for g in (2, 3):
+        pres = surface_presentation(g)
+        collapses = free_collapses(pres)
+        assert [name for name, _ in collapses] == ["collapse", "dehn-twist"]
+        for _, f in collapses:
+            assert f.check_presentation(pres)
+        assert collapses[0][1].images == collapse_hom(pres).images
+    assert [name for name, _ in free_collapses(nonorientable_presentation(3))] \
+        == ["collapse"]
+    assert free_collapses(bs_presentation(2, 3)) == ()
+    assert free_collapses(burns_presentation()) == ()
+    # S3 pinches its middle handle and twists the last one
+    twist = dict(free_collapses(surface_presentation(3)))["dehn-twist"]
+    assert [w.format() for w in twist.images] == [
+        "a", "b", "", "", "abAbaBA", "abABabaBA"]
 
 
 def test_parse_bs_relator():

@@ -1,17 +1,24 @@
-"""Soundness property: a query built as a product of generators, with a
-conjugated relator rotation spliced in, is in the submonoid, so no decider
-route may call it a non-member, and every member witness must multiply
-back to the query in the group."""
+"""Soundness properties.
+
+A query built as a product of generators, with a conjugated relator
+rotation spliced in, is in the submonoid, so no decider route may call it a
+non-member, and every member witness must multiply back to the query in the
+group.  A non-member proved through a free collapse must carry the image
+that a fresh acceptor rejects.  The orientable Magnus decider must agree
+with the general surface decider on the same generating set.
+"""
 
 from hypothesis import given, settings, strategies as st
 
 from submon.words import Presentation, Word
-from submon.presentations import builtin, select_engine
-from submon.deciders import decide_surface_submonoid
+from submon.presentations import builtin, select_engine, free_collapses
+from submon.automata import SaturatedAcceptor
+from submon.deciders import decide_surface_submonoid, decide_surface_magnus
 from submon.distortion import SearchBudget
 
 GROUPS = {
-    name: builtin(name) for name in ("S2", "N2", "BURNS", "BS 2 3")
+    name: builtin(name)
+    for name in ("S2", "S3", "N2", "N3", "BURNS", "BS 2 3")
 }
 GROUPS["aabbb"] = Presentation.parse("gens: a b\nrel: aabbb")
 ENGINES = {name: select_engine(pres) for name, pres in GROUPS.items()}
@@ -42,7 +49,7 @@ def spliced_products(draw):
     return (name, [Word(alphabet, g) for g in gens], Word(alphabet, query))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(derandomize=True, database=None, deadline=None, max_examples=280)
 @given(spliced_products())
 def test_products_are_never_non_members(case):
     name, gens, query = case
@@ -56,3 +63,75 @@ def test_products_are_never_non_members(case):
         for label in verdict.witness:
             prod = prod * table[label]
         assert engine.equal(prod, query), (name, verdict.witness)
+
+
+SURFACES = ("S2", "S3", "N2", "N3")
+
+
+def signed_letter(k):
+    return st.sampled_from([s * i for i in range(1, k + 1) for s in (1, -1)])
+
+
+@st.composite
+def surface_queries(draw):
+    """A generating set and a query over a surface group; the query is
+    often an inverted product, which is rarely a member."""
+    name = draw(st.sampled_from(SURFACES))
+    pres = GROUPS[name]
+    letter = signed_letter(len(pres.alphabet))
+    alphabet = pres.alphabet
+    gens = [Word(alphabet, g) for g in draw(st.lists(
+        st.lists(letter, min_size=1, max_size=3), min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        query = Word(alphabet, ())
+        for i in draw(st.lists(st.integers(0, len(gens) - 1), min_size=1,
+                               max_size=3)):
+            query = query * gens[i]
+        query = ~query * Word(alphabet, tuple(draw(st.lists(letter,
+                                                            max_size=2))))
+    else:
+        query = Word(alphabet, tuple(draw(st.lists(letter, min_size=1,
+                                                   max_size=6))))
+    return name, gens, query
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(surface_queries())
+def test_image_non_members_carry_a_rejected_image(case):
+    name, gens, query = case
+    pres = GROUPS[name]
+    verdict = decide_surface_submonoid(pres, gens, query, BUDGET)
+    if not (verdict.is_non_member and "image" in verdict.methods):
+        return
+    cert = verdict.certificate
+    f = dict(free_collapses(pres))[cert["hom"]]
+    assert cert["image"] == f(query).format()
+    acceptor = SaturatedAcceptor(f.target, [f(g) for g in gens])
+    assert not acceptor.member(f(query)), (name, gens, query)
+
+
+@st.composite
+def magnus_queries(draw):
+    """Signed letters of S2 or S3, some generator missing a sign, and a
+    query word."""
+    g = draw(st.sampled_from((2, 3)))
+    pres = GROUPS[f"S{g}"]
+    k = len(pres.alphabet)
+    # at most k + 1 of the 2k signed letters, so some sign is missing
+    letters = draw(st.lists(signed_letter(k), min_size=1, max_size=k + 1,
+                            unique=True))
+    query = draw(st.lists(signed_letter(k), min_size=1, max_size=6))
+    return g, letters, Word(pres.alphabet, tuple(query))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(magnus_queries())
+def test_orientable_magnus_agrees_with_surface_decider(case):
+    g, letters, query = case
+    pres = GROUPS[f"S{g}"]
+    gens = [Word(pres.alphabet, (x,)) for x in letters]
+    magnus = decide_surface_magnus(g, True, gens, query, BUDGET)
+    general = decide_surface_submonoid(pres, gens, query, BUDGET)
+    assert magnus.outcome == general.outcome, (g, letters, query)
+    assert magnus.witness == general.witness
+    assert magnus.certificate == general.certificate
