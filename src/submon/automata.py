@@ -18,7 +18,7 @@ Plus two combinatorial checks on literal letter sequences: `is_code`
 
 import math
 
-from submon.words import Word, WordError, _reduce_letters
+from submon.words import WordError, product, signed_table, _reduce_letters
 
 BASE = 0
 
@@ -99,6 +99,7 @@ class StallingsGraph:
                      for p, edges in out.items()
                      for x, (q, label) in edges.items()}
         self.states = set(out)
+        self._signed = signed_table(self.generators)
 
     @property
     def rank(self):
@@ -136,10 +137,7 @@ class StallingsGraph:
         if state != BASE:
             return None
         letters = list(_reduce_letters(labels))
-        check = Word(self.alphabet, ())
-        for s in letters:
-            g = self.generators[abs(s) - 1]
-            check = check * (g if s > 0 else ~g)
+        check = product(self.alphabet, map(self._signed.__getitem__, letters))
         if check != word.free_reduce():
             raise AssertionError("witness product mismatch")
         return letters
@@ -293,9 +291,10 @@ class SaturatedAcceptor:
             p, eid, r = parents[i][q]
             segments.append((r, q, eid, p))
             q = p
-        steps = self._expand_eps(BASE, q)
+        steps = list(self._expand_eps(BASE, q))
         for r, tail, eid, p in reversed(segments):
-            steps = steps + [eid] + self._expand_eps(r, tail)
+            steps.append(eid)
+            steps.extend(self._expand_eps(r, tail))
         factors = []
         label = []
         for eid in steps:
@@ -303,12 +302,10 @@ class SaturatedAcceptor:
             label.append(x)
             if c == 1:
                 factors.append(self.chains[cid][0])
-        if Word(self.alphabet, label).free_reduce() != red:
+        if _reduce_letters(label) != red.letters:
             raise AssertionError("witness path label mismatch")
-        check = Word(self.alphabet, ())
-        for i in factors:
-            check = check * self.generators[i]
-        if check != red:
+        if product(self.alphabet,
+                   (self.generators[i].letters for i in factors)) != red:
             raise AssertionError("witness factorization mismatch")
         return factors
 

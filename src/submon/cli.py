@@ -100,8 +100,8 @@ def cmd_wp(args):
 
 
 def cmd_member(args):
-    pres = resolve_group(args.group)
     started = time.perf_counter()
+    pres = resolve_group(args.group)
     verdict = decide_surface_submonoid(pres, split_list(args.gens), args.word,
                                        budget=make_budget(args))
     return emit(args, verdict, started)
@@ -116,16 +116,16 @@ def _surface_params(text):
 
 
 def cmd_prefix(args):
-    g, orientable = _surface_params(args.group)
     started = time.perf_counter()
+    g, orientable = _surface_params(args.group)
     verdict = decide_prefix_surface(g, orientable, args.word,
                                     budget=make_budget(args))
     return emit(args, verdict, started)
 
 
 def cmd_magnus(args):
-    g, orientable = _surface_params(args.group)
     started = time.perf_counter()
+    g, orientable = _surface_params(args.group)
     verdict = decide_surface_magnus(g, orientable, split_list(args.letters),
                                     args.word, budget=make_budget(args))
     return emit(args, verdict, started)
@@ -146,8 +146,8 @@ def cmd_burns(args):
 
 
 def cmd_positivity(args):
-    pres = resolve_group(args.group)
     started = time.perf_counter()
+    pres = resolve_group(args.group)
     verdict = decide_positivity_fbc(pres, args.word,
                                     budget=make_budget(args))
     return emit(args, verdict, started)
@@ -216,8 +216,8 @@ def cmd_signs(args):
 
 
 def cmd_powers(args):
-    pres = resolve_group(args.group)
     started = time.perf_counter()
+    pres = resolve_group(args.group)
     verdict = powers_decider(pres, split_list(args.powers), args.word,
                              budget=make_budget(args))
     return emit(args, verdict, started)

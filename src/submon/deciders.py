@@ -8,20 +8,21 @@ outside the image submonoid); everything else is an honest unknown, naming
 the search budget that ran out, with a machine-readable instance attached
 when one can be built.
 
-On surface groups every route tries the image route before it searches.
-Each free collapse f of the group (`free_collapses`) maps a product of
-generators to the product of their images, so when the Benois acceptor
-rejects f(w) for Mon<f(gens)>, w is a non-member (method "image", with the
-collapse and f(w) in the certificate); when the acceptor's factorization of
-f(w), multiplied out over the generators, equals w in the group, w is a
-member (method "image-lift").  Otherwise the next collapse, then the
-search, decides.
+On surface groups and BS(m, n) every route tries the image route before it
+searches.  Each free collapse f of the group (`free_collapses`) maps a
+product of generators to the product of their images, so when the Benois
+acceptor rejects f(w) for Mon<f(gens)>, w is a non-member (method "image",
+with the collapse and f(w) in the certificate); when the acceptor's
+factorization of f(w), multiplied out over the generators, equals w in the
+group, w is a member (method "image-lift").  Otherwise the next collapse,
+then the search, decides.
 """
 
 from math import gcd
 
 from submon.words import (
-    Alphabet, Word, Presentation, GroupHom, invert_letters, solve_relator,
+    Alphabet, Word, Presentation, GroupHom, invert_letters, product,
+    solve_relator,
 )
 from submon.magnus import (
     MagnusError, magnus_rewrite, interval_presentation, HnnData,
@@ -58,10 +59,7 @@ def _parse_word(presentation, item):
 
 
 def _product(gens, picks, alphabet):
-    prod = Word(alphabet, ())
-    for i in picks:
-        prod = prod * gens[i]
-    return prod
+    return product(alphabet, (gens[i].free_reduce().letters for i in picks))
 
 
 def _verified_member(engine, gens, labels, picks, word, methods,
@@ -272,9 +270,10 @@ def decide_surface_submonoid(presentation, gens, word, budget=None,
 
     Routes, in order: positive functional (complete), graded free image
     (complete when the composed bound fits the budget), window instance
-    plus bounded search (member or unknown).  On surface groups each route
-    runs the image route first, with one acceptor per collapse for this
-    generating set, and searches only when no collapse settles the query.
+    plus bounded search (member or unknown).  On surface groups and
+    BS(m, n) each route runs the image route first, with one acceptor per
+    collapse for this generating set, and searches only when no collapse
+    settles the query.
     """
     gens = _parse_words(presentation, gens)
     word = _parse_word(presentation, word)

@@ -27,7 +27,8 @@ triples so subscripts can roam without registering alphabets.
 
 from submon.words import (
     Alphabet, Word, Presentation, GroupHom, WordError, WordProblem,
-    invert_letters, solve_relator,
+    extend_reduced, invert_letters, product, signed_table, solve_relator,
+    _trusted,
 )
 from submon.automata import StallingsGraph
 
@@ -243,13 +244,6 @@ class IntervalPresentation:
             out.append(e * self.alphabet.letter(sub_name(base, g, s)))
         return Word(self.alphabet, out)
 
-    def contains_letter(self, g, s):
-        name = self.original.alphabet.names[g]
-        if name not in self.spans:
-            return False
-        lo, hi = self.spans[name]
-        return lo <= s <= hi
-
 
 def interval_presentation(presentation, stable, n, m):
     return IntervalPresentation(presentation, stable, n, m)
@@ -285,17 +279,17 @@ class Basis:
             self.expressions[target] = self._lower(Word(ip.alphabet, solved))
 
     def _lower(self, word):
-        out = Word(self.alphabet, ())
+        factors = []
         for x in word.letters:
             name = word.alphabet.name_of(x)
             if name in self.expressions:
-                img = self.expressions[name]
+                img = self.expressions[name].letters
             elif name in self.eliminated_names:
                 raise MagnusError(f"{name} eliminated later than its use")
             else:
-                img = Word(self.alphabet, (self.alphabet.letter(name),))
-            out = out * (img if x > 0 else ~img)
-        return out
+                img = (self.alphabet.letter(name),)
+            factors.append(img if x > 0 else invert_letters(img))
+        return product(self.alphabet, factors)
 
     def to_basis(self, word):
         """Rewrite a word over the window alphabet into the basis."""
@@ -337,15 +331,13 @@ class HnnData:
         self.Q_words = [self.basis.letter_word(g, s) for g, s in self.Q_letters]
         self.P_graph = StallingsGraph(self.basis.alphabet, self.P_words)
         self.Q_graph = StallingsGraph(self.basis.alphabet, self.Q_words)
-        self._P_images = [self.basis.letter_word(g, s + 1) for g, s in self.P_letters]
-        self._Q_images = [self.basis.letter_word(g, s - 1) for g, s in self.Q_letters]
+        self._P_images = signed_table(
+            [self.basis.letter_word(g, s + 1) for g, s in self.P_letters])
+        self._Q_images = signed_table(
+            [self.basis.letter_word(g, s - 1) for g, s in self.Q_letters])
 
     def _map_witness(self, witness, images):
-        out = Word(self.basis.alphabet, ())
-        for s in witness:
-            img = images[abs(s) - 1]
-            out = out * (img if s > 0 else ~img)
-        return out
+        return product(self.basis.alphabet, map(images.__getitem__, witness))
 
     def phi(self, word):
         """Shift a P-element up by one; None when word is not in P."""
@@ -386,6 +378,16 @@ class BrittonEngine(WordProblem):
     Requires a stable letter with zero relator exponent sum, every other
     generator occurring in the relator, and a qualifying generator in the
     max_min_report.  Window machinery is cached per window.
+
+    `is_trivial` is one left-to-right pass over a stack of stable letters,
+    each with the freely reduced basis segment that follows it, above the
+    segment before the first one.  Every segment below the top sits between
+    two stable letters that do not pinch, and only the top segment changes;
+    a stable letter that pinches the top segment pops it and extends the
+    segment below with the image, which is tested again once it closes.
+    So the final stack has no pinch, and by Britton's lemma the word is
+    trivial exactly when no stable letter is left and the base segment is
+    empty in the free window group.
     """
 
     name = "britton"
@@ -397,10 +399,18 @@ class BrittonEngine(WordProblem):
         self._machinery = {}
 
     def _window(self, n, m):
+        """The splitting over window [n, m] and the basis word of every
+        non-stable letter at subscript 0, keyed by signed letter."""
         key = (n, m)
         if key not in self._machinery:
             ip = IntervalPresentation(self.presentation, self.stable, n, m)
-            self._machinery[key] = HnnData(ip, self.gen)
+            hnn = HnnData(ip, self.gen)
+            pieces = {}
+            for g in ip.report.image.occurring():
+                piece = hnn.basis.letter_word(g, 0).letters
+                pieces[g + 1] = piece
+                pieces[-g - 1] = invert_letters(piece)
+            self._machinery[key] = hnn, pieces
         return self._machinery[key]
 
     def is_trivial(self, word):
@@ -422,44 +432,32 @@ class BrittonEngine(WordProblem):
                 has_other = True
         if not has_other:
             return s == 0
-        lo, hi = min(sums + [0]), max(sums + [0])
+        lo, hi = min(sums), max(sums)
         image = self.report.image
         span_lo = max(image.min_subscript(alphabet.names[g]) for g in image.occurring())
         span_hi = min(image.max_subscript(alphabet.names[g]) for g in image.occurring())
         n = (lo - hi) - span_lo
         m = max((hi - lo) - span_hi, n + 1)
-        hnn = self._window(n, m)
-        basis = hnn.basis
-        segs = [Word(basis.alphabet, ())]
+        hnn, pieces = self._window(n, m)
+        basis = hnn.basis.alphabet
+        segs = [[]]
         signs = []
         for x in w.letters:
-            g = abs(x) - 1
-            if g == t:
-                signs.append(1 if x > 0 else -1)
-                segs.append(Word(basis.alphabet, ()))
-            else:
-                piece = basis.letter_word(g, 0)
-                segs[-1] = segs[-1] * (piece if x > 0 else ~piece)
-        while True:
-            pinched = False
-            for i in range(len(signs) - 1):
-                if signs[i] == 1 and signs[i + 1] == -1:
-                    img = hnn.phi(segs[i + 1])
-                elif signs[i] == -1 and signs[i + 1] == 1:
-                    img = hnn.phi_inv(segs[i + 1])
-                else:
+            if abs(x) - 1 != t:
+                extend_reduced(segs[-1], pieces[x])
+                continue
+            e = 1 if x > 0 else -1
+            if signs and signs[-1] == -e:
+                closed = _trusted(basis, tuple(segs[-1]))
+                img = hnn.phi(closed) if e < 0 else hnn.phi_inv(closed)
+                if img is not None:
+                    segs.pop()
+                    signs.pop()
+                    extend_reduced(segs[-1], img.letters)
                     continue
-                if img is None:
-                    continue
-                segs[i:i + 3] = [segs[i] * img * segs[i + 2]]
-                del signs[i:i + 2]
-                pinched = True
-                break
-            if not pinched:
-                break
-        if signs:
-            return False
-        return not segs[0]
+            signs.append(e)
+            segs.append([])
+        return not signs and not segs[0]
 
 
 class FbcGroup(WordProblem):

@@ -159,7 +159,9 @@ def free_collapses(presentation):
     """Homomorphisms of the presented group onto free groups, as (name, map)
     pairs in the order the image route tries them: `collapse_hom`, then for
     S_g the collapse of S_2 that Dehn-twists the second handle once, after
-    the pinch onto S_2.  Only maps that kill every relator are kept."""
+    the pinch onto S_2.  A BS(m, n) presentation with no other collapse maps
+    onto the integers by its stable-letter exponent ("stable-exponent":
+    t to x, a to 1).  Only maps that kill every relator are kept."""
     return _free_collapses(presentation.alphabet,
                            tuple(r.letters for r in presentation.relators))
 
@@ -175,6 +177,9 @@ def _free_collapses(alphabet, relators):
     if g is not None:
         out.append(("dehn-twist",
                     _from_genus_2(dehn_twist_hom(1), alphabet, g, True)))
+    if not out and parse_bs_relator(presentation) is not None:
+        out.append(("stable-exponent",
+                    GroupHom.from_dict(alphabet, _X1, {"t": "x"})))
     return tuple((name, f) for name, f in out
                  if f.check_presentation(presentation))
 

@@ -8,14 +8,15 @@ keeps the inner loop on native string search.
 `closure_membership` turns a complete system into a submonoid membership
 test for letter subsets closed under the rules.
 
-Dehn's algorithm lives at the end and works on Word objects directly; it
-requires the relator to satisfy the strict metric small cancellation
-condition C'(1/6).
+Dehn's algorithm lives at the end and requires the relator to satisfy the
+strict metric small cancellation condition C'(1/6).  It is one pass of a
+letter stack over the word: see `DehnEngine.is_trivial` for the invariant
+that makes an empty stack exactly the trivial words.
 """
 
 from fractions import Fraction
 
-from submon.words import Word, WordError, WordProblem, invert_letters
+from submon.words import WordError, WordProblem, invert_letters
 
 
 class RewriteError(ValueError):
@@ -244,27 +245,34 @@ class DehnEngine(WordProblem):
         self.presentation = presentation
         self.alphabet = presentation.alphabet
         r, _ = presentation.relator.cyclic_reduce()
-        self.rot = sorted(set(_rotations(r.letters)) | set(_rotations((~r).letters)))
         self.rlen = len(r)
-
-    def _shorten(self, letters):
-        """Replace one subword longer than half a relator, or return None."""
-        half = self.rlen // 2
-        for rot in self.rot:
-            for L in range(self.rlen, half, -1):
-                piece = rot[:L]
-                for i in range(len(letters) - L + 1):
-                    if letters[i:i + L] == piece:
-                        repl = invert_letters(rot[L:])
-                        return letters[:i] + repl + letters[i + L:]
-        return None
+        # a subword of more than half a relator starts with such a prefix of
+        # a rotation of r or r^-1; each maps to the inverse of the rest
+        self._span = self.rlen // 2 + 1
+        self._shorter = {}
+        for rot in _rotations(r.letters) + _rotations((~r).letters):
+            self._shorter.setdefault(rot[:self._span],
+                                     invert_letters(rot[self._span:]))
 
     def is_trivial(self, word):
-        w = word.free_reduce()
-        letters = w.letters
-        while letters:
-            nxt = self._shorten(letters)
-            if nxt is None:
-                return False
-            letters = Word(self.alphabet, nxt).free_reduce().letters
-        return True
+        """One pass: the output stack only changes at its top, so each of
+        its subwords of rlen // 2 + 1 letters is looked up once, when its
+        last letter arrives; a hit is replaced by the shorter rest, pushed
+        back onto the input.  The final stack is freely reduced with no
+        piece of more than half a relator, so by Greendlinger's lemma the
+        word is trivial exactly when the stack is empty."""
+        todo = list(reversed(word.letters))
+        out = []
+        span, shorter = self._span, self._shorter
+        while todo:
+            x = todo.pop()
+            if out and out[-1] == -x:
+                out.pop()
+                continue
+            out.append(x)
+            if len(out) >= span:
+                repl = shorter.get(tuple(out[-span:]))
+                if repl is not None:
+                    del out[-span:]
+                    todo.extend(reversed(repl))
+        return not out

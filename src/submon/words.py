@@ -3,7 +3,9 @@
 A letter is a nonzero integer: +(i+1) is generator number i, -(i+1) is its
 inverse.  Words carry their alphabet and are not reduced implicitly; group
 operations (multiplication, inversion, homomorphism application) return
-freely reduced results.
+freely reduced results.  Only the public `Word(alphabet, letters)` checks
+each letter against the alphabet; the results of those operations, and of
+`product`, which multiplies many factors in one pass, are built unchecked.
 """
 
 import re
@@ -93,6 +95,39 @@ def _reduce_letters(letters):
     return tuple(out)
 
 
+def _trusted(alphabet, letters):
+    """A Word from a kernel operation, whose letters need no range check."""
+    w = object.__new__(Word)
+    w.alphabet, w.letters = alphabet, letters
+    return w
+
+
+def extend_reduced(out, letters):
+    """Append freely reduced letters to a freely reduced list, cancelling
+    at the junction only."""
+    k, n = 0, len(letters)
+    while k < n and out and out[-1] == -letters[k]:
+        out.pop()
+        k += 1
+    out.extend(letters[k:])
+
+
+def product(alphabet, factors):
+    """The product of freely reduced letter sequences, reduced in one pass."""
+    out = []
+    for f in factors:
+        extend_reduced(out, f)
+    return _trusted(alphabet, tuple(out))
+
+
+def signed_table(words):
+    """The letters of each word and its inverse, by signed 1-based index."""
+    table = {}
+    for i, w in enumerate(words, 1):
+        table[i], table[-i] = w.letters, invert_letters(w.letters)
+    return table
+
+
 class Word:
     """A sequence of signed letters over a fixed alphabet."""
 
@@ -168,10 +203,11 @@ class Word:
 
     def __mul__(self, other):
         self._check_same(other)
-        return Word(self.alphabet, _reduce_letters(self.letters + other.letters))
+        return _trusted(self.alphabet,
+                        _reduce_letters(self.letters + other.letters))
 
     def __invert__(self):
-        return Word(self.alphabet, tuple(-x for x in reversed(self.letters)))
+        return _trusted(self.alphabet, invert_letters(self.letters))
 
     def inverse(self):
         return ~self
@@ -179,10 +215,7 @@ class Word:
     def __pow__(self, k):
         if k < 0:
             return (~self) ** (-k)
-        out = Word(self.alphabet, ())
-        for _ in range(k):
-            out = out * self
-        return out
+        return product(self.alphabet, [self.free_reduce().letters] * k)
 
     def conjugate(self, by):
         """by * self * by^-1."""
@@ -193,16 +226,16 @@ class Word:
         return _reduce_letters(self.letters) == self.letters
 
     def free_reduce(self):
-        return Word(self.alphabet, _reduce_letters(self.letters))
+        return _trusted(self.alphabet, _reduce_letters(self.letters))
 
     def cyclic_reduce(self):
         """Return (core, conjugator) with self == conjugator * core * conjugator^-1."""
-        core = list(_reduce_letters(self.letters))
-        conj = []
-        while len(core) >= 2 and core[0] == -core[-1]:
-            conj.append(core[0])
-            core = core[1:-1]
-        return Word(self.alphabet, core), Word(self.alphabet, conj)
+        red = _reduce_letters(self.letters)
+        i, j = 0, len(red)
+        while j - i >= 2 and red[i] == -red[j - 1]:
+            i, j = i + 1, j - 1
+        a = self.alphabet
+        return _trusted(a, red[i:j]), _trusted(a, red[:i])
 
     def exponent_sum(self, gen):
         """Net exponent of a generator (given by name or index)."""
@@ -345,6 +378,7 @@ class GroupHom:
             if not isinstance(w, Word) or w.alphabet != target:
                 raise WordError(f"image {w!r} not a word over {target!r}")
         self.images = tuple(w.free_reduce() for w in images)
+        self._letters = signed_table(self.images)
 
     @classmethod
     def from_dict(cls, source, target, mapping):
@@ -365,11 +399,8 @@ class GroupHom:
     def apply(self, word):
         if word.alphabet != self.source:
             raise WordError(f"{word!r} not over source alphabet {self.source!r}")
-        out = []
-        for x in word.letters:
-            img = self.images[abs(x) - 1]
-            out.extend(img.letters if x > 0 else (~img).letters)
-        return Word(self.target, _reduce_letters(out))
+        return product(self.target,
+                       map(self._letters.__getitem__, word.letters))
 
     def __call__(self, word):
         return self.apply(word)

@@ -1,5 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
+import pytest
+
+import submon
 from submon.words import Alphabet, Word
 from submon.automata import (
     StallingsGraph, SaturatedAcceptor,
@@ -214,3 +221,37 @@ def test_no_cancellation():
     assert not no_cancellation([(1,), (-1,)])
     assert not no_cancellation([(1, -2), (2, 1)])
     assert no_cancellation([(1,), (1, 2)])
+
+
+CORRUPTED_WITNESSES = {
+    # the a-loop at the base now claims to read generator b
+    "witness product mismatch": """
+        graph = StallingsGraph(ab, [Word.parse(ab, "a"), Word.parse(ab, "b")])
+        target, _ = graph._out[BASE, 1]
+        graph._out[BASE, 1] = (target, (2,))
+        graph.witness(Word.parse(ab, "a"))
+    """,
+    # the factors of the a-chain now name generator b
+    "witness factorization mismatch": """
+        acc = SaturatedAcceptor(ab, [Word.parse(ab, "a"), Word.parse(ab, "b")])
+        acc.chains[0] = (1, acc.chains[0][1])
+        acc.witness(Word.parse(ab, "a"))
+    """,
+}
+
+
+@pytest.mark.parametrize("message", sorted(CORRUPTED_WITNESSES))
+def test_corrupted_witness_raises_under_optimize_flag(message):
+    """The witness re-multiplication checks are explicit raises, so a
+    corrupted witness is caught even when asserts are compiled out."""
+    code = textwrap.dedent("""
+        from submon.words import Alphabet, Word
+        from submon.automata import BASE, SaturatedAcceptor, StallingsGraph
+        ab = Alphabet(["a", "b"])
+    """) + textwrap.dedent(CORRUPTED_WITNESSES[message])
+    src = os.path.dirname(os.path.dirname(submon.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert f"AssertionError: {message}" in proc.stderr

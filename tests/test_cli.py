@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -200,3 +201,21 @@ def test_depth_option(capsys):
                        "--gens", "t a t'", "--word", "t a a t'",
                        "--depth", "3", "--json")
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "--group", "S2", "--gens", "a,a b", "--word", "b"],
+    ["positivity", "--group", "BURNS", "--word", "t'"],
+    ["powers", "--group", "gens: x y", "--powers", "x x,x' x'",
+     "--word", "x"],
+])
+def test_elapsed_ms_covers_group_resolution(capsys, monkeypatch, argv):
+    # every command's clock starts at entry, as bs-magnus and burns do
+    def slow(text):
+        time.sleep(0.05)
+        return resolve_group(text)
+
+    monkeypatch.setattr(submon.cli, "resolve_group", slow)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["elapsed_ms"] >= 50

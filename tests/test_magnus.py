@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from submon.words import Alphabet, Word, Presentation
 from submon.rewrite import DehnEngine
@@ -16,6 +17,8 @@ ABT = Alphabet(["a", "b", "t"])
 S2 = Presentation.parse("gens: a b c d\nrel: abABcdCD\n")
 CHAIN = Presentation.parse("gens: a b c t\nrel: abABctCT\n")
 BURNS = Presentation.parse("gens: a t\nrel: tatATaTA\n")
+S3 = Presentation.parse("gens: a1 b1 a2 b2 a3 b3\n"
+                        "rel: a1 b1 a1' b1' a2 b2 a2' b2' a3 b3 a3' b3'\n")
 
 
 def test_triple_helpers():
@@ -232,3 +235,62 @@ def test_substitute_generator_hom():
     assert flat.alphabet.names == ("a1", "x")
     assert forward(klein.word("a2 a1")).format(compact=False) == "x"
     assert forward(klein.relator) == flat.relator
+
+
+def _conjugated_relators(rng, pres, length):
+    """A product of relator rotations, each conjugated by at most two
+    letters, of at least `length` letters: trivial in the group."""
+    k = len(pres.alphabet)
+    signed = [s * i for i in range(1, k + 1) for s in (1, -1)]
+    rel = pres.relator.letters
+    out = []
+    while len(out) < length:
+        turn = rng.randrange(len(rel))
+        rot = rel[turn:] + rel[:turn]
+        if rng.random() < 0.5:
+            rot = tuple(-x for x in reversed(rot))
+        conj = [rng.choice(signed) for _ in range(rng.randint(0, 2))]
+        out += conj + list(rot) + [-x for x in reversed(conj)]
+    return out
+
+
+def _long_word(pres, seed, length, kind):
+    """A word of about `length` letters: trivial, or with a commutator of
+    two generators (or a generator power) spliced between two trivial
+    products."""
+    rng = random.Random(seed)
+    if kind == "trivial":
+        return Word(pres.alphabet, _conjugated_relators(rng, pres, length))
+    k = len(pres.alphabet)
+    x, y = rng.sample(range(1, k + 1), 2)
+    if kind == "commutator":
+        middle = [x, y, -x, -y]
+    else:
+        middle = [x] * rng.randint(1, 2)
+    head = rng.randrange(length)
+    return Word(pres.alphabet,
+                _conjugated_relators(rng, pres, head) + middle
+                + _conjugated_relators(rng, pres, length - head))
+
+
+LONG_ENGINES = {
+    "S2": (DehnEngine(S2), BrittonEngine(S2, "a")),
+    "S3": (DehnEngine(S3), BrittonEngine(S3, "a1")),
+    "BURNS": (BrittonEngine(BURNS, "t"), FbcGroup(BURNS, "t")),
+}
+GROUPS = {"S2": S2, "S3": S3, "BURNS": BURNS}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_ENGINES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(st.integers(0, 2 ** 32), st.integers(600, 1300),
+       st.sampled_from(["trivial", "commutator", "power"]))
+def test_long_words_agree_across_engines(name, seed, length, kind):
+    """Dehn and Britton on S2 and S3, Britton and FBC normal forms on
+    BURNS, on words as long as the benchmark's."""
+    first, second = LONG_ENGINES[name]
+    w = _long_word(GROUPS[name], seed, length, kind)
+    answer = first.is_trivial(w)
+    assert answer == second.is_trivial(w), (name, seed, length, kind)
+    if kind == "trivial":
+        assert answer

@@ -110,7 +110,15 @@ def test_free_collapses():
         assert collapses[0][1].images == collapse_hom(pres).images
     assert [name for name, _ in free_collapses(nonorientable_presentation(3))] \
         == ["collapse"]
-    assert free_collapses(bs_presentation(2, 3)) == ()
+    # BS(m, n) maps onto Z by its stable-letter exponent; the name is not
+    # "collapse", which feeds the graded free-image budget
+    for m, n in ((2, 3), (1, 2), (-2, 3), (3, -5)):
+        pres = bs_presentation(m, n)
+        ((name, f),) = free_collapses(pres)
+        assert name == "stable-exponent"
+        assert f.check_presentation(pres)
+        assert [w.format() for w in f.images] == ["", "x"]
+        assert f(pres.word("t a t' a a t")).format() == "x"
     assert free_collapses(burns_presentation()) == ()
     # S3 pinches its middle handle and twists the last one
     twist = dict(free_collapses(surface_presentation(3)))["dehn-twist"]

@@ -142,3 +142,25 @@ def test_dehn_word_problem_s2():
     assert eng.equal(S2.word("abAB"), S2.word("dcDC"))
     assert not eng.equal(S2.word("a"), S2.word("b"))
     assert DehnEngine(S2).is_trivial(r * r)
+
+
+def test_dehn_reprocesses_pushed_back_letters():
+    # after the stack holds abAB, the piece DabAB (five letters of the
+    # rotation DabABcdC) is replaced by cDC, pushed back onto the input;
+    # its first letter then completes the piece abABc with the stack below
+    eng = DehnEngine(S2)
+    hits = []
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            if value is not None:
+                hits.append(Word(S2.alphabet, key).format())
+            return value
+
+    eng._shorter = Recording(eng._shorter)
+    w = S2.word("abAB") * S2.word("DabABcdC") * S2.word("cdCD")
+    assert w.format() == "abABDabABcddCD"
+    assert eng.is_trivial(w)
+    assert hits[:2] == ["DabAB", "abABc"]
+    assert not eng.is_trivial(S2.word("abABDabABcdd"))

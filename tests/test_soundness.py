@@ -4,14 +4,21 @@ A query built as a product of generators, with a conjugated relator
 rotation spliced in, is in the submonoid, so no decider route may call it a
 non-member, and every member witness must multiply back to the query in the
 group.  A non-member proved through a free collapse must carry the image
-that a fresh acceptor rejects.  The orientable Magnus decider must agree
-with the general surface decider on the same generating set.
+that a fresh acceptor rejects; on BS(m, n) the stable-letter exponent map
+onto the integers must settle exactly the queries whose exponent lies
+outside the monoid of the generators' exponents.  The orientable Magnus
+decider must agree with the general surface decider on the same
+generating set.
 """
+
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from submon.words import Presentation, Word
-from submon.presentations import builtin, select_engine, free_collapses
+from submon.presentations import (
+    bs_presentation, builtin, select_engine, free_collapses,
+)
 from submon.automata import SaturatedAcceptor
 from submon.deciders import decide_surface_submonoid, decide_surface_magnus
 from submon.distortion import SearchBudget
@@ -108,6 +115,72 @@ def test_image_non_members_carry_a_rejected_image(case):
     assert cert["image"] == f(query).format()
     acceptor = SaturatedAcceptor(f.target, [f(g) for g in gens])
     assert not acceptor.member(f(query)), (name, gens, query)
+
+
+BS_GROUPS = {mn: bs_presentation(*mn)
+             for mn in ((2, 3), (1, 2), (-2, 3), (3, -5))}
+
+
+def in_integer_monoid(v, steps):
+    """Whether v is a sum of the given integers, repetition allowed."""
+    steps = [e for e in steps if e]
+    if v == 0:
+        return True
+    if any(e > 0 for e in steps) and any(e < 0 for e in steps):
+        return v % gcd(*steps) == 0
+    if not steps or (v > 0) != (steps[0] > 0):
+        return False
+    v, steps = abs(v), [abs(e) for e in steps]
+    reach = [True] + [False] * v
+    for i in range(1, v + 1):
+        reach[i] = any(e <= i and reach[i - e] for e in steps)
+    return reach[v]
+
+
+@st.composite
+def bs_queries(draw):
+    """A generating set of BS(m, n) and a query, often an inverted
+    product with a few letters appended."""
+    mn = draw(st.sampled_from(sorted(BS_GROUPS)))
+    alphabet = BS_GROUPS[mn].alphabet
+    letter = signed_letter(2)
+    gens = [Word(alphabet, g) for g in draw(st.lists(
+        st.lists(letter, min_size=1, max_size=3), min_size=1, max_size=3))]
+    query = Word(alphabet, ())
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=3)):
+        query = query * gens[i]
+    query = ~query * Word(alphabet, tuple(draw(st.lists(letter, max_size=3))))
+    return mn, gens, query
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(bs_queries())
+def test_bs_stable_exponent_settles_exactly_its_obstructions(case):
+    mn, gens, query = case
+    pres = BS_GROUPS[mn]
+    verdict = decide_surface_submonoid(pres, gens, query, BUDGET)
+    steps = [g.exponent_sum("t") for g in gens]
+    outside = not in_integer_monoid(query.exponent_sum("t"), steps)
+    if outside:
+        assert verdict.is_non_member, (mn, gens, query, verdict.methods)
+    if verdict.is_non_member and "image" in verdict.methods:
+        assert outside, (mn, gens, query)
+        cert = verdict.certificate
+        assert cert["hom"] == "stable-exponent"
+        f = dict(free_collapses(pres))["stable-exponent"]
+        assert cert["image"] == f(query).format()
+        acceptor = SaturatedAcceptor(f.target, [f(g) for g in gens])
+        assert not acceptor.member(f(query))
+
+
+def test_bs_image_certificate():
+    pres = BS_GROUPS[2, 3]
+    verdict = decide_surface_submonoid(pres, ["t a", "a"], "t' a", BUDGET)
+    assert verdict.is_non_member
+    assert verdict.methods == ["image"]
+    assert verdict.certificate == {
+        "hom": "stable-exponent", "image": "X",
+        "reason": "image outside the image submonoid"}
 
 
 @st.composite
