@@ -21,8 +21,8 @@ then the search, decides.
 from math import gcd
 
 from submon.words import (
-    Alphabet, Word, Presentation, GroupHom, invert_letters, product,
-    solve_relator,
+    Alphabet, Word, Presentation, GroupHom, invert_letters, join_reduced,
+    product, solve_relator,
 )
 from submon.magnus import (
     MagnusError, magnus_rewrite, interval_presentation, HnnData,
@@ -478,6 +478,7 @@ class PrefixDecider:
                                "offset": graded.budget.offset}
         self._image = _ImageRoute(self.presentation, self.gens, self.labels,
                                   self.engine)
+        self._steps = [w.free_reduce().letters for w in self.gens]
         self._table = {(): None}
         self._frontier = [()]
         self._depth = 0
@@ -489,9 +490,8 @@ class PrefixDecider:
                 if len(self._table) >= max_states:
                     self._frontier = []
                     return
-                base = Word(self.presentation.alphabet, state)
-                for k, gw in enumerate(self.gens):
-                    nxt = (base * gw).letters
+                for k, g in enumerate(self._steps):
+                    nxt = join_reduced(state, g)
                     if nxt not in self._table:
                         self._table[nxt] = (state, k)
                         grown.append(nxt)

@@ -22,13 +22,17 @@ have.  Certificates producing such budgets:
 `bounded_search` enumerates products breadth-first with free-word
 deduplication, finds witnesses through a backward meet set, and can
 certify non-membership up to a depth when the state and group-check
-budgets allow.
+budgets allow.  Its states are freely reduced letter tuples, each built
+from its parent by a junction-only product (`words.join_reduced`) rather
+than as a checked `Word`.
 """
 
 import itertools
 import math
+from operator import mul
 
-from submon.words import Alphabet, Word, GroupHom
+from submon.words import (
+    Alphabet, Word, GroupHom, _trusted, invert_letters, join_reduced)
 from submon.automata import SaturatedAcceptor, is_code, no_cancellation
 
 
@@ -206,17 +210,20 @@ def positive_functional(presentation, gens, radius=8):
     def vec(word):
         return [word.exponent_sum(g) for g in involved]
 
-    rel_vecs = [vec(r) for r in presentation.relators]
+    # a relator with zero exponent sums (every surface relator) constrains
+    # nothing
+    rel_vecs = [v for v in map(vec, presentation.relators) if any(v)]
     gen_vecs = [vec(w) for w in gens]
     if not _has_rational_functional(rel_vecs, gen_vecs):
         return None
     for r in range(radius + 1):
         for point in itertools.product(range(-r, r + 1), repeat=len(involved)):
-            if point and max(abs(c) for c in point) != r:
+            # the shell of infinity norm r
+            if r not in point and -r not in point:
                 continue
-            if any(sum(c * v for c, v in zip(point, rv)) != 0 for rv in rel_vecs):
+            if any(sum(map(mul, point, rv)) for rv in rel_vecs):
                 continue
-            if all(sum(c * v for c, v in zip(point, gv)) >= 1 for gv in gen_vecs):
+            if all(sum(map(mul, point, gv)) >= 1 for gv in gen_vecs):
                 psi = {name: 0 for name in alphabet.names}
                 for g, c in zip(involved, point):
                     psi[alphabet.names[g]] = c
@@ -371,8 +378,11 @@ class SearchResult:
 def bounded_search(gens, target, budget, engine=None, meet_levels=1):
     """Breadth-first product search for target in Mon<gens>.
 
-    States are freely reduced words of products, deduplicated; a backward
-    meet set of target times inverted generators gives early witnesses.
+    States are the freely reduced letter tuples of products, deduplicated;
+    each is its parent times one generator, cancelled at the junction only,
+    so a step costs the junction and a tuple copy rather than a full
+    reduction.  A backward meet set of target times inverted generators
+    gives early witnesses.
     With an engine, states are additionally compared to the target through
     it when the check budget allows, and only then does exhausting the
     depth certify non-membership; without one the search covered only the
@@ -395,6 +405,7 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
             for i, g in active:
                 meet.setdefault((base * ~g).letters, [i, j])
 
+    steps = [(i, g.letters) for i, g in active]
     states = {(): (None, None, 0)}
 
     def path(letters):
@@ -415,9 +426,8 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
         depth += 1
         nxt = []
         for p in frontier:
-            pw = Word(alphabet, p)
-            for i, g in active:
-                q = (pw * g).letters
+            for i, g in steps:
+                q = join_reduced(p, g)
                 if q in states:
                     continue
                 states[q] = (p, i, depth)
@@ -433,8 +443,9 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
         frontier = nxt
     limit = "max_depth" if frontier else None
     if engine is not None and len(states) <= budget.group_checks:
+        back = invert_letters(target.letters)
         for u in states:
-            if engine.is_trivial(Word(alphabet, u) * ~target):
+            if engine.is_trivial(_trusted(alphabet, join_reduced(u, back))):
                 wit = path(u)
                 return SearchResult(True, wit, complete, False,
                                     len(states), depth, "search+group-eq")

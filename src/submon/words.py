@@ -6,6 +6,8 @@ operations (multiplication, inversion, homomorphism application) return
 freely reduced results.  Only the public `Word(alphabet, letters)` checks
 each letter against the alphabet; the results of those operations, and of
 `product`, which multiplies many factors in one pass, are built unchecked.
+`join_reduced` multiplies two reduced letter tuples without a Word at all,
+for loops that keep states as tuples.
 """
 
 import re
@@ -110,6 +112,18 @@ def extend_reduced(out, letters):
         out.pop()
         k += 1
     out.extend(letters[k:])
+
+
+def join_reduced(u, v):
+    """The product of two freely reduced letter tuples, cancelling at the
+    junction only: the plain u + v unless u ends in the inverse of v's
+    first letter."""
+    if not u or not v or u[-1] != -v[0]:
+        return u + v
+    i, j, n = len(u) - 1, 1, len(v)
+    while i and j < n and u[i - 1] == -v[j]:
+        i, j = i - 1, j + 1
+    return u[:i] + v[j:]
 
 
 def product(alphabet, factors):

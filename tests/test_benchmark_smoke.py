@@ -2,7 +2,8 @@
 every query correctly.  The traced wp-stream run wraps every library name
 the tracer knows, so it also fails when one of them is renamed or removed;
 the untraced decide-mix run checks every public decider and CLI command
-against the benchmark's own answer keys.  No timing is asserted."""
+against the benchmark's own answer keys, and the untraced free-monoid run
+the acceptors and Stallings graphs.  No timing is asserted."""
 
 import json
 import os
@@ -29,5 +30,11 @@ def test_traced_wp_stream_run():
 
 def test_untraced_decide_mix_run():
     result = run_benchmark("decide-mix", "0")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
+def test_untraced_free_monoid_run():
+    result = run_benchmark("free-monoid", "0")
     assert result["correct"] is True
     assert result["failed"] == 0

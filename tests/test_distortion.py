@@ -4,13 +4,16 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from submon.words import Alphabet, Word, Presentation
-from submon.presentations import select_engine
+from submon.presentations import (
+    select_engine, surface_presentation, nonorientable_presentation,
+    burns_presentation, bs_presentation,
+)
 from submon.rewrite import DehnEngine
 from submon.distortion import (
     DistortionBudget, compose_budget, half_suffix, midpoint_certificate,
     positive_functional, functional_value, code_certificate, free_image_graded,
     dehn_twist_hom,
-    undistorted_constants, SearchBudget, bounded_search,
+    undistorted_constants, SearchBudget, SearchResult, bounded_search,
 )
 
 AB = Alphabet(["a", "b"])
@@ -179,14 +182,22 @@ def box_scan_functional(presentation, gens, radius=8):
 
 @st.composite
 def functional_cases(draw):
-    k = draw(st.integers(1, 4))
-    alphabet = Alphabet("abcd"[:k])
+    k = draw(st.integers(1, 6))
+    alphabet = Alphabet("abcdef"[:k])
     letter = st.sampled_from([s * i for i in range(1, k + 1) for s in (1, -1)])
 
     def words(min_size, max_size):
         return st.lists(letter, min_size=min_size, max_size=max_size).map(
             lambda letters: Word(alphabet, letters))
-    relators = draw(st.lists(words(1, 8), max_size=1))
+
+    @st.composite
+    def balanced(draw):
+        # every letter met again inverted, as in a surface relator: the
+        # exponent vector is zero
+        half = draw(st.lists(letter, min_size=1, max_size=4))
+        back = draw(st.permutations([-x for x in half]))
+        return Word(alphabet, half + back)
+    relators = draw(st.lists(words(1, 8) | balanced(), max_size=2))
     gens = draw(st.lists(words(0, 5), max_size=4))
     radius = draw(st.integers(1, 4))
     return Presentation(alphabet, relators), gens, radius
@@ -391,3 +402,137 @@ def test_free_image_graded_killed_generator():
     assert not collapse(pres.relator)
     gens = [pres.word("b"), pres.word("a")]
     assert free_image_graded(pres, collapse, gens) is None
+
+
+def reference_bounded_search(gens, target, budget, engine=None, meet_levels=1):
+    """Reference: the search with a checked `Word` per state, each step a
+    full reduction of the concatenation (`Word.__mul__`)."""
+    alphabet = target.alphabet
+    words = [w.free_reduce() for w in gens]
+    active = [(i, w) for i, w in enumerate(words) if w]
+    target = target.free_reduce()
+    meet = {target.letters: []}
+    if meet_levels >= 1:
+        for i, g in active:
+            meet.setdefault((target * ~g).letters, [i])
+    if meet_levels >= 2:
+        for j, h in active:
+            base = target * ~h
+            for i, g in active:
+                meet.setdefault((base * ~g).letters, [i, j])
+
+    states = {(): (None, None, 0)}
+
+    def path(letters):
+        out = []
+        while True:
+            parent, gi, _ = states[letters]
+            if parent is None:
+                return list(reversed(out))
+            out.append(gi)
+            letters = parent
+
+    if () in meet:
+        return SearchResult(True, meet[()], False, False, 1, 0, "search")
+    frontier = [()]
+    depth = 0
+    complete = True
+    while depth < budget.max_depth and frontier:
+        depth += 1
+        nxt = []
+        for p in frontier:
+            pw = Word(alphabet, p)
+            for i, g in active:
+                q = (pw * g).letters
+                if q in states:
+                    continue
+                states[q] = (p, i, depth)
+                if q in meet:
+                    wit = path(q) + meet[q]
+                    return SearchResult(True, wit, False, False,
+                                        len(states), depth, "search")
+                nxt.append(q)
+                if len(states) >= budget.max_states:
+                    return SearchResult(False, None, False, False,
+                                        len(states), depth, "search",
+                                        "max_states")
+        frontier = nxt
+    limit = "max_depth" if frontier else None
+    if engine is not None and len(states) <= budget.group_checks:
+        for u in states:
+            if engine.is_trivial(Word(alphabet, u) * ~target):
+                wit = path(u)
+                return SearchResult(True, wit, complete, False,
+                                    len(states), depth, "search+group-eq")
+        return SearchResult(False, None, complete, True,
+                            len(states), depth, "search+group-eq", limit)
+    if engine is not None:
+        limit = "group_checks"
+    return SearchResult(False, None, complete, False,
+                        len(states), depth, "search", limit)
+
+
+class CountingEngine:
+    """Records every word an engine is asked about, in order."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.asked = []
+
+    def is_trivial(self, word):
+        self.asked.append(word.letters)
+        return self.engine.is_trivial(word)
+
+
+def random_reduced(rng, alphabet, lo, hi):
+    k = len(alphabet)
+    letters = [rng.choice([1, -1]) * rng.randint(1, k)
+               for _ in range(rng.randint(lo, hi))]
+    return Word(alphabet, letters).free_reduce()
+
+
+SEARCH_GROUPS = [
+    ("S2", surface_presentation(2)),
+    ("N3", nonorientable_presentation(3)),
+    ("BURNS", burns_presentation()),
+    ("BS 2 3", bs_presentation(2, 3)),
+]
+
+
+def test_bounded_search_matches_reference():
+    fields = ("found", "witness", "complete", "certified", "states", "depth",
+              "method", "limit")
+    seen = set()
+    for name, pres in SEARCH_GROUPS:
+        rng = random.Random(name)
+        alphabet = pres.alphabet
+        for _ in range(30):
+            gens = [random_reduced(rng, alphabet, 1, 3)
+                    for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.5:
+                target = Word(alphabet, ())
+                for _ in range(rng.randint(1, 4)):
+                    target = target * rng.choice(gens)
+                if rng.random() < 0.5:
+                    # equal in the group, but no longer a free product
+                    target = target * pres.relators[0]
+            else:
+                target = random_reduced(rng, alphabet, 1, 6)
+            budget = SearchBudget(rng.randint(1, 4),
+                                  max_states=rng.choice([50, 400, 5000]),
+                                  group_checks=rng.choice([30, 300, 2000]))
+            meet_levels = rng.choice([0, 1, 2])
+            engine = select_engine(pres) if rng.random() < 0.8 else None
+            runs = []
+            for search in (bounded_search, reference_bounded_search):
+                counted = engine and CountingEngine(engine)
+                res = search(gens, target, budget, engine=counted,
+                             meet_levels=meet_levels)
+                runs.append(([getattr(res, f) for f in fields],
+                             counted and counted.asked))
+            assert runs[0] == runs[1], (name, gens, target)
+            res = runs[0][0]
+            seen.add("witness" if res[0] else
+                     "certified" if res[3] else f"limit {res[7]}")
+    assert seen == {"witness", "certified", "limit max_states",
+                    "limit max_depth", "limit group_checks"}

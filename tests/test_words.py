@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from submon.words import Alphabet, Word, Presentation, GroupHom, WordError
+from submon.words import (
+    Alphabet, Word, Presentation, GroupHom, WordError, _reduce_letters,
+    invert_letters, join_reduced,
+)
 
 AB = Alphabet(["a", "b"])
 ABCD = Alphabet(["a", "b", "c", "d"])
@@ -125,6 +129,40 @@ def test_random_reduction_invariants():
         assert (conj * core * ~conj) == r
         if core:
             assert core.letters[0] != -core.letters[-1]
+
+
+reduced_tuples = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
+                          max_size=10).map(_reduce_letters)
+
+
+@st.composite
+def junction_pairs(draw):
+    """Two freely reduced tuples; the shapes make the junction cancel
+    nothing, all of u, all of v, or a shared middle part."""
+    shape = draw(st.sampled_from(["any", "all-of-u", "all-of-v", "middle"]))
+    u, v = draw(reduced_tuples), draw(reduced_tuples)
+    if shape == "all-of-u":
+        v = _reduce_letters(invert_letters(u) + v)
+    elif shape == "all-of-v":
+        u = _reduce_letters(u + invert_letters(v))
+    elif shape == "middle":
+        s = draw(reduced_tuples)
+        u, v = _reduce_letters(u + s), _reduce_letters(invert_letters(s) + v)
+    return u, v
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(junction_pairs())
+@example(((), ()))
+@example(((), (1, 2)))
+@example(((1, 2), ()))
+@example(((1, 2), (-2, -1)))
+@example(((1, 2), (-2, -1, 3)))
+@example(((3, 1, 2), (-2, -1)))
+@example(((3, 1, 2), (-2, 1)))
+def test_join_reduced_matches_full_reduction(pair):
+    u, v = pair
+    assert join_reduced(u, v) == _reduce_letters(u + v)
 
 
 def test_presentation_parse_format():
