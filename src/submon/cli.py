@@ -6,6 +6,7 @@ for a machine readable envelope.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -232,7 +233,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The whole parser, built on the first call and reused by every later
+    `main` call in the process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="submon",
         description="membership deciders for submonoids of one-relator groups")

@@ -18,11 +18,12 @@ group, w is a member (method "image-lift").  Otherwise the next collapse,
 then the search, decides.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from submon.words import (
-    Alphabet, Word, Presentation, GroupHom, invert_letters, join_reduced,
-    product, solve_relator,
+    Alphabet, Word, Presentation, GroupHom, invert_letters, product,
+    solve_relator,
 )
 from submon.magnus import (
     MagnusError, magnus_rewrite, interval_presentation, HnnData,
@@ -450,10 +451,17 @@ def _nonorientable_magnus(pres, gens, lits, labels, word, budget,
 
 
 class PrefixDecider:
-    """Membership in the monoid generated by the relator prefixes, with a
-    shared forward product table across queries.  A query missing from
-    the table goes to the image route, whose acceptors are built once per
-    decider, and only then to the search."""
+    """Membership in the monoid generated by the relator prefixes.
+
+    One decider per generating set (`prefix_decider` caches it per genus
+    and orientability) holds the proven factor bound lambda(n) on the
+    number of prefixes in a product of length n (a positive functional on
+    non-orientable groups, the graded free image on orientable ones), its
+    provenance for the certificate, and the image route's acceptors, built
+    once per decider.  A query that neither the identity nor the
+    functional settles goes to the image route, then to a certified search
+    up to lambda(n), whose miss is a non-member when it covers the bound.
+    """
 
     def __init__(self, g, orientable):
         self.presentation, self.gens = prefix_generators(g, orientable)
@@ -478,35 +486,6 @@ class PrefixDecider:
                                "offset": graded.budget.offset}
         self._image = _ImageRoute(self.presentation, self.gens, self.labels,
                                   self.engine)
-        self._steps = [w.free_reduce().letters for w in self.gens]
-        self._table = {(): None}
-        self._frontier = [()]
-        self._depth = 0
-
-    def _ensure(self, depth, max_states=400_000):
-        while self._depth < depth and self._frontier:
-            grown = []
-            for state in self._frontier:
-                if len(self._table) >= max_states:
-                    self._frontier = []
-                    return
-                for k, g in enumerate(self._steps):
-                    nxt = join_reduced(state, g)
-                    if nxt not in self._table:
-                        self._table[nxt] = (state, k)
-                        grown.append(nxt)
-            self._frontier = grown
-            self._depth += 1
-
-    def _path(self, letters):
-        out = []
-        cur = letters
-        while self._table[cur] is not None:
-            prev, k = self._table[cur]
-            out.append(k)
-            cur = prev
-        out.reverse()
-        return out
 
     def decide(self, word, budget=None):
         word = _parse_word(self.presentation, word)
@@ -525,25 +504,15 @@ class PrefixDecider:
             bound = val
         else:
             bound = self.budget.bound(len(w0))
-        self._ensure(min(bound, 5))
-        if w0.letters in self._table:
-            return _verified_member(self.engine, self.gens, self.labels,
-                                    self._path(w0.letters), word,
-                                    methods + ["table"], cert, bound=bound)
         return (self._image.decide(word, methods, cert, bound)
                 or _certified_search(self.gens, self.labels, word, self.engine,
                                      bound=bound, budget=budget,
                                      methods=methods, certificate=cert))
 
 
-_PREFIX_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def prefix_decider(g, orientable):
-    key = (g, bool(orientable))
-    if key not in _PREFIX_CACHE:
-        _PREFIX_CACHE[key] = PrefixDecider(g, orientable)
-    return _PREFIX_CACHE[key]
+    return PrefixDecider(g, orientable)
 
 
 def decide_prefix_surface(g, orientable, word, budget=None):
@@ -710,15 +679,6 @@ _BURNS = burns_presentation()
 _BURNS_FBC = FbcGroup(_BURNS, "t")
 
 
-def _expand(triples):
-    """Flatten merged subscript triples to one entry per letter."""
-    out = []
-    for g, s, e in triples:
-        step = 1 if e > 0 else -1
-        out.extend([(g, s, step)] * abs(e))
-    return tuple(out)
-
-
 def _tiling_dp(u, factors):
     """Unordered cover of the triple sequence u by factor words; returns the
     key sequence or None."""
@@ -784,12 +744,11 @@ def decide_burns_magnus(letters, word, budget=None):
     gens = [_parse_word(pres, s) for s in S]
     present = set(S)
     j, u = fbc.normal_form(word)
-    u_exp = _expand(u)
     methods = ["fbc-normal-form"]
     cert_base = {"j": j, "u": fbc.format(u)}
 
     def orbit(k):
-        return _expand(fbc.shift_to_basis(((fbc.g, 0, 1),), k))
+        return fbc.shift_to_basis(((fbc.g, 0, 1),), k)
 
     def reject(reason):
         return Verdict.non_member(dict(cert_base, reason=reason),
@@ -825,12 +784,12 @@ def decide_burns_magnus(letters, word, budget=None):
                 fw = orbit(k)
                 if inverse:
                     fw = sub_invert(fw)
-                if len(fw) > len(u_exp):
+                if len(fw) > len(u):
                     break
                 factors[k] = fw
                 k += direction
         methods.append("orbit-tiling")
-        tile = _tiling_dp(u_exp, factors)
+        tile = _tiling_dp(u, factors)
         if tile is None:
             return reject("kernel part is not a product of orbit conjugates")
         witness = ["t"] * j if j >= 0 else ["T"] * -j
@@ -867,7 +826,7 @@ def decide_burns_magnus(letters, word, budget=None):
             return cache[k]
 
         methods.append("orbit-dp")
-        ks = _ordered_dp(u_exp, factor_of, J)
+        ks = _ordered_dp(u, factor_of, J)
         if ks is None:
             return reject("ordered orbit tiling exhausted")
         stable = "t" if down else "T"
@@ -976,7 +935,6 @@ def decide_positivity_fbc(presentation, word, budget=None):
     if not w0 or fbc.is_trivial(word):
         return Verdict.member([], methods=["identity"])
     j, u = fbc.normal_form(word)
-    u_exp = _expand(u)
     methods = ["fbc-normal-form"]
     cert = {"j": j, "u": fbc.format(u), "stable": stable}
     if j < 0:
@@ -987,7 +945,7 @@ def decide_positivity_fbc(presentation, word, budget=None):
 
     def factor_of(k):
         if k not in cache:
-            cache[k] = _expand(fbc.shift_to_basis(((fbc.g, 0, 1),), -k))
+            cache[k] = fbc.shift_to_basis(((fbc.g, 0, 1),), -k)
         return cache[k]
 
     seqs = [factor_of(k) for k in range(j + 1)]
@@ -1003,7 +961,7 @@ def decide_positivity_fbc(presentation, word, budget=None):
         as_ints.append(tuple(row))
     if all(seqs) and no_cancellation(as_ints):
         methods.append("orbit-dp")
-        ks = _ordered_dp(u_exp, factor_of, j)
+        ks = _ordered_dp(u, factor_of, j)
         if ks is None:
             cert["reason"] = "ordered orbit tiling exhausted"
             return Verdict.non_member(cert, methods=methods)

@@ -21,8 +21,9 @@ from submon.deciders import (
     decide_surface_magnus, decide_prefix_surface, decide_bs_magnus,
     decide_burns_magnus, orbit_membership, decide_positivity_fbc,
     choose_signs, powers_decider, emit_positivity_gadget,
-    eliminate_defined_generator, PrefixDecider,
+    eliminate_defined_generator,
 )
+from submon.distortion import SearchBudget
 
 
 def check_witness(presentation, gens, witness, word, engine=None):
@@ -191,9 +192,11 @@ def test_prefix_surface():
 
 
 def test_prefix_surface_random_products():
+    # the default budget and the tighter one the library callers pass; the
+    # image route and the search must settle every product under both
     rng = random.Random(3)
+    tight = SearchBudget(8, 20000)
     for g, orientable in [(2, True), (2, False), (3, True), (3, False)]:
-        from submon.presentations import prefix_generators
         pres, gens = prefix_generators(g, orientable)
         engine = select_engine(pres)
         for _ in range(20):
@@ -202,31 +205,10 @@ def test_prefix_surface_random_products():
             word = Word(pres.alphabet, ())
             for i in picks:
                 word = word * gens[i]
-            v = decide_prefix_surface(g, orientable, word)
-            assert v.is_member, (g, orientable, word.format())
-            check_witness(pres, gens, v.witness, word, engine)
-
-
-def test_prefix_table_matches_reference_build():
-    # the reference builds each entry as a checked Word times a generator,
-    # fully reduced; the table must hold the same keys, in the same order,
-    # with the same (parent, generator) entries
-    for g, orientable in [(2, True), (3, True), (2, False), (3, False)]:
-        decider = PrefixDecider(g, orientable)
-        decider._ensure(4)
-        alphabet = decider.presentation.alphabet
-        table, frontier = {(): None}, [()]
-        for _ in range(4):
-            grown = []
-            for state in frontier:
-                for k, gw in enumerate(decider.gens):
-                    nxt = (Word(alphabet, state) * gw).letters
-                    if nxt not in table:
-                        table[nxt] = (state, k)
-                        grown.append(nxt)
-            frontier = grown
-        assert list(decider._table.items()) == list(table.items())
-        assert decider._frontier == frontier
+            for budget in (None, tight):
+                v = decide_prefix_surface(g, orientable, word, budget)
+                assert v.is_member, (g, orientable, word.format(), budget)
+                check_witness(pres, gens, v.witness, word, engine)
 
 
 def _splice_relator(rng, pres, word):

@@ -8,7 +8,9 @@ that a fresh acceptor rejects; on BS(m, n) the stable-letter exponent map
 onto the integers must settle exactly the queries whose exponent lies
 outside the monoid of the generators' exponents.  The orientable Magnus
 decider must agree with the general surface decider on the same
-generating set.
+generating set.  Products of relator prefixes on S2 and S3 are members,
+and their witnesses must multiply back through Britton, an engine the
+prefix decider does not use.
 """
 
 from math import gcd
@@ -18,9 +20,13 @@ from hypothesis import given, settings, strategies as st
 from submon.words import Presentation, Word
 from submon.presentations import (
     bs_presentation, builtin, select_engine, free_collapses,
+    prefix_generators,
 )
 from submon.automata import SaturatedAcceptor
-from submon.deciders import decide_surface_submonoid, decide_surface_magnus
+from submon.magnus import BrittonEngine
+from submon.deciders import (
+    decide_surface_submonoid, decide_surface_magnus, decide_prefix_surface,
+)
 from submon.distortion import SearchBudget
 
 GROUPS = {
@@ -208,3 +214,46 @@ def test_orientable_magnus_agrees_with_surface_decider(case):
     assert magnus.outcome == general.outcome, (g, letters, query)
     assert magnus.witness == general.witness
     assert magnus.certificate == general.certificate
+
+
+PREFIX_SETS = {g: prefix_generators(g, True) for g in (2, 3)}
+PREFIX_BRITTON = {2: BrittonEngine(PREFIX_SETS[2][0], "a"),
+                  3: BrittonEngine(PREFIX_SETS[3][0], "a1")}
+
+
+@st.composite
+def prefix_products(draw):
+    """A product of orientable relator prefixes, with a conjugated relator
+    rotation spliced in half of the time."""
+    g = draw(st.sampled_from((2, 3)))
+    pres, gens = PREFIX_SETS[g]
+    picks = draw(st.lists(st.integers(0, len(gens) - 1), min_size=1,
+                          max_size=5))
+    query = [x for i in picks for x in gens[i].letters]
+    if draw(st.booleans()):
+        rel = pres.relator.letters
+        turn = draw(st.integers(0, len(rel) - 1))
+        rotation = rel[turn:] + rel[:turn]
+        if draw(st.booleans()):
+            rotation = tuple(-x for x in reversed(rotation))
+        conj = tuple(draw(st.lists(signed_letter(len(pres.alphabet)),
+                                   max_size=2)))
+        spliced = conj + rotation + tuple(-x for x in reversed(conj))
+        at = draw(st.integers(0, len(query)))
+        query = query[:at] + list(spliced) + query[at:]
+    return g, Word(pres.alphabet, tuple(query))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(prefix_products())
+def test_prefix_products_are_never_non_members(case):
+    g, query = case
+    pres, gens = PREFIX_SETS[g]
+    verdict = decide_prefix_surface(g, True, query, BUDGET)
+    assert not verdict.is_non_member, (g, query, verdict.certificate)
+    if verdict.is_member:
+        table = {w.format(): w for w in gens}
+        prod = Word(pres.alphabet, ())
+        for label in verdict.witness:
+            prod = prod * table[label]
+        assert PREFIX_BRITTON[g].equal(prod, query), (g, verdict.witness)
