@@ -224,6 +224,17 @@ def cmd_powers(args):
     return emit(args, verdict, started)
 
 
+def nonnegative_int(text):
+    """The type of --depth: a negative factor count is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+_DEPTH = {"type": nonnegative_int, "default": None}
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 3: argparse's own 2 means unknown here.  The
     subcommand parsers are built from this class too."""
@@ -258,30 +269,30 @@ def build_parser():
         group={"required": True},
         gens={"required": True},
         word={"required": True},
-        depth={"type": int, "default": None})
+        depth=_DEPTH)
     add("prefix", cmd_prefix,
         group={"required": True},
         word={"required": True},
-        depth={"type": int, "default": None})
+        depth=_DEPTH)
     add("magnus", cmd_magnus,
         group={"required": True},
         letters={"required": True},
         word={"required": True},
-        depth={"type": int, "default": None})
+        depth=_DEPTH)
     add("bs-magnus", cmd_bs_magnus,
         m={"type": int, "required": True},
         n={"type": int, "required": True},
         letters={"required": True},
         word={"required": True},
-        depth={"type": int, "default": None})
+        depth=_DEPTH)
     add("burns", cmd_burns,
         letters={"required": True},
         word={"required": True},
-        depth={"type": int, "default": None})
+        depth=_DEPTH)
     add("positivity", cmd_positivity,
         group={"required": True},
         word={"required": True},
-        depth={"type": int, "default": None})
+        depth=_DEPTH)
     add("analyze", cmd_analyze,
         group={"required": True},
         stable={"required": True})
@@ -300,7 +311,7 @@ def build_parser():
         group={"required": True},
         powers={"required": True},
         word={"required": True},
-        depth={"type": int, "default": None})
+        depth=_DEPTH)
     return parser
 
 

@@ -16,9 +16,15 @@ with the collapse and f(w) in the certificate); when the acceptor's
 factorization of f(w), multiplied out over the generators, equals w in the
 group, w is a member (method "image-lift").  Otherwise the next collapse,
 then the search, decides.
+
+A `SubmonoidDecider` runs these routes for one generating set and keeps
+what depends on the set alone (engine, acceptors, factor bounds) across
+queries.  `decide_surface_submonoid` asks a fresh one; the prefix monoid of
+each surface group has one for good (`prefix_decider`), so prefix queries
+run the same routes, with "prefix" leading the methods.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from submon.words import (
@@ -32,13 +38,13 @@ from submon.magnus import (
 )
 from submon.automata import StallingsGraph, SaturatedAcceptor, no_cancellation
 from submon.distortion import (
-    DistortionBudget, SearchBudget, bounded_search, positive_functional,
-    functional_value, free_image_graded,
+    SearchBudget, bounded_search, positive_functional, functional_value,
+    free_image_graded,
 )
 from submon.presentations import (
     surface_presentation, nonorientable_presentation, bs_presentation,
-    burns_presentation, prefix_generators, collapse_hom, free_collapses,
-    select_engine, BsEngine,
+    burns_presentation, prefix_generators, free_collapses, select_engine,
+    BsEngine,
 )
 from submon.rewrite import bs_system, closure_membership, ClosureError
 from submon.verdict import Verdict
@@ -48,15 +54,12 @@ class DeciderError(ValueError):
     pass
 
 
-def _parse_words(presentation, items):
-    out = []
-    for item in items:
-        out.append(item if isinstance(item, Word) else presentation.word(item))
-    return out
-
-
 def _parse_word(presentation, item):
     return item if isinstance(item, Word) else presentation.word(item)
+
+
+def _parse_words(presentation, items):
+    return [_parse_word(presentation, item) for item in items]
 
 
 def _product(gens, picks, alphabet):
@@ -101,45 +104,6 @@ def _certified_search(gens, labels, word, engine, bound=None, budget=None,
     return Verdict.unknown(methods=methods,
                            certificate=dict(certificate or {}, limit=res.limit),
                            instance=instance, bound=depth)
-
-
-class _ImageRoute:
-    """Exact images of queries under the presentation's free collapses.
-
-    A homomorphism f onto a free group sends a product of generators to
-    the product of their images.  So f(w) outside Mon<f(gens)>, which the
-    acceptor decides exactly, proves w outside Mon<gens>; and an image
-    factorization whose generator product equals w in the group proves
-    membership.  One acceptor per collapse, built when a query first
-    needs it.
-    """
-
-    def __init__(self, presentation, gens, labels, engine):
-        self.collapses = free_collapses(presentation)
-        self.gens = gens
-        self.labels = labels
-        self.engine = engine
-        self._acceptors = {}
-
-    def decide(self, word, methods, certificate=None, bound=None):
-        """A verdict from the first collapse that settles the query, or
-        None when none does."""
-        for name, f in self.collapses:
-            if name not in self._acceptors:
-                self._acceptors[name] = SaturatedAcceptor(
-                    f.target, [f(g) for g in self.gens])
-            image = f(word)
-            picks = self._acceptors[name].witness(image)
-            if picks is None:
-                cert = dict(certificate or {}, hom=name, image=image.format(),
-                            reason="image outside the image submonoid")
-                return Verdict.non_member(cert, methods=methods + ["image"])
-            if self.engine.equal(_product(self.gens, picks, word.alphabet),
-                                 word):
-                return _verified_member(self.engine, self.gens, self.labels,
-                                        picks, word, methods + ["image-lift"],
-                                        certificate, bound=bound)
-        return None
 
 
 class DgInstance:
@@ -265,56 +229,100 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
                       generators, labels, query_pair, inverted)
 
 
-def decide_surface_submonoid(presentation, gens, word, budget=None,
-                             labels=None, engine=None):
-    """Membership of a word in the submonoid generated by given words.
+class SubmonoidDecider:
+    """Membership in the submonoid generated by one generating set.
 
-    Routes, in order: positive functional (complete), graded free image
-    (complete when the composed bound fits the budget), window instance
-    plus bounded search (member or unknown).  On surface groups and
-    BS(m, n) each route runs the image route first, with one acceptor per
-    collapse for this generating set, and searches only when no collapse
-    settles the query.
+    Holds what depends only on the generating set: the parsed generators,
+    their labels, the word-problem engine, one image acceptor per free
+    collapse (built when a query first needs it), and the two proven factor
+    bounds, the positive functional `psi` and the graded free image
+    `graded` (computed on first use).  A decider kept for a generating set
+    (`prefix_decider`) pays for each of them once; a query settled as the
+    identity pays for none.
+
+    `decide` runs the routes in order: positive functional (complete),
+    graded free image (complete when the composed bound fits the budget),
+    window instance plus bounded search (member or unknown).  On surface
+    groups and BS(m, n) each route runs the image route first and searches
+    only when no collapse settles the query.
     """
-    gens = _parse_words(presentation, gens)
-    word = _parse_word(presentation, word)
-    if labels is None:
-        labels = [w.format() for w in gens]
-    if engine is None:
-        engine = select_engine(presentation)
-    w0 = word.free_reduce()
-    if not w0 or (engine is not None and engine.is_trivial(word)):
-        return Verdict.member([], methods=["identity"])
-    if not any(w.free_reduce() for w in gens):
-        if engine is not None:
-            return Verdict.non_member(
-                {"reason": "the generating set only spans the identity"},
-                methods=["identity"])
-        return Verdict.unknown(methods=["identity"])
 
-    methods = []
-    image_route = _ImageRoute(presentation, gens, labels, engine)
-    psi = positive_functional(presentation, gens)
-    if psi is not None:
-        val = functional_value(psi, word)
-        methods.append("functional")
-        cert = {"functional": psi, "value": val}
-        if val < 0:
-            cert["reason"] = "negative functional value"
-            return Verdict.non_member(cert, methods=methods)
-        if val == 0:
+    def __init__(self, presentation, gens, labels=None, engine=None):
+        self.presentation = presentation
+        self.gens = _parse_words(presentation, gens)
+        self.labels = ([w.format() for w in self.gens] if labels is None
+                       else labels)
+        self.engine = (select_engine(presentation) if engine is None
+                       else engine)
+        self._acceptors = {}
+
+    @cached_property
+    def psi(self):
+        """A functional positive on every generator, or None."""
+        return positive_functional(self.presentation, self.gens)
+
+    @cached_property
+    def graded(self):
+        """The graded free image through the collapse onto a free group,
+        or None."""
+        f = dict(free_collapses(self.presentation)).get("collapse")
+        if f is None:
+            return None
+        return free_image_graded(self.presentation, f, self.gens)
+
+    def _image(self, word, methods, certificate=None, bound=None):
+        """The image route: a verdict from the first free collapse that
+        settles the query, or None when none does."""
+        for name, f in free_collapses(self.presentation):
+            acceptor = self._acceptors.get(name)
+            if acceptor is None:
+                acceptor = self._acceptors[name] = SaturatedAcceptor(
+                    f.target, [f(g) for g in self.gens])
+            image = f(word)
+            picks = acceptor.witness(image)
+            if picks is None:
+                cert = dict(certificate or {}, hom=name, image=image.format(),
+                            reason="image outside the image submonoid")
+                return Verdict.non_member(cert, methods=methods + ["image"])
+            if self.engine.equal(_product(self.gens, picks, word.alphabet),
+                                 word):
+                return _verified_member(self.engine, self.gens, self.labels,
+                                        picks, word, methods + ["image-lift"],
+                                        certificate, bound=bound)
+        return None
+
+    def decide(self, word, budget=None):
+        word = _parse_word(self.presentation, word)
+        gens, labels, engine = self.gens, self.labels, self.engine
+        w0 = word.free_reduce()
+        if not w0 or (engine is not None and engine.is_trivial(word)):
+            return Verdict.member([], methods=["identity"])
+        if not any(w.free_reduce() for w in gens):
             if engine is not None:
-                cert["reason"] = "only the empty product has value 0"
-                return Verdict.non_member(cert, methods=methods)
-            return Verdict.unknown(methods=methods, certificate=cert)
-        return (image_route.decide(word, methods, cert, val)
-                or _certified_search(gens, labels, word, engine, bound=val,
-                                     budget=budget, methods=methods,
-                                     certificate=cert))
+                return Verdict.non_member(
+                    {"reason": "the generating set only spans the identity"},
+                    methods=["identity"])
+            return Verdict.unknown(methods=["identity"])
 
-    f = dict(image_route.collapses).get("collapse")
-    if f is not None:
-        graded = free_image_graded(presentation, f, gens)
+        methods = []
+        if self.psi is not None:
+            val = functional_value(self.psi, word)
+            methods.append("functional")
+            cert = {"functional": self.psi, "value": val}
+            if val < 0:
+                cert["reason"] = "negative functional value"
+                return Verdict.non_member(cert, methods=methods)
+            if val == 0:
+                if engine is not None:
+                    cert["reason"] = "only the empty product has value 0"
+                    return Verdict.non_member(cert, methods=methods)
+                return Verdict.unknown(methods=methods, certificate=cert)
+            return (self._image(word, methods, cert, val)
+                    or _certified_search(gens, labels, word, engine,
+                                         bound=val, budget=budget,
+                                         methods=methods, certificate=cert))
+
+        graded = self.graded
         if graded is not None:
             methods.append("free-image")
             bound = graded.budget.bound(len(w0))
@@ -324,27 +332,35 @@ def decide_surface_submonoid(presentation, gens, word, budget=None,
                 "offset": graded.budget.offset,
                 "stretch": graded.data.get("stretch"),
             }
-            return (image_route.decide(word, methods, cert, bound)
+            return (self._image(word, methods, cert, bound)
                     or _certified_search(gens, labels, word, engine,
                                          bound=bound, budget=budget,
                                          methods=methods, certificate=cert))
 
-    verdict = image_route.decide(word, methods)
-    if verdict is not None:
-        return verdict
-    instance = None
-    if presentation.is_one_relator:
-        for stable in presentation.alphabet.names:
-            try:
-                instance = reduce_to_dg_instance(presentation, stable, gens,
-                                                 query=word)
-                methods.append("instance")
-                break
-            except (DeciderError, MagnusError):
-                continue
-    return _certified_search(gens, labels, word, engine, bound=None,
-                             budget=budget, methods=methods,
-                             instance=instance)
+        verdict = self._image(word, methods)
+        if verdict is not None:
+            return verdict
+        instance = None
+        if self.presentation.is_one_relator:
+            for stable in self.presentation.alphabet.names:
+                try:
+                    instance = reduce_to_dg_instance(
+                        self.presentation, stable, gens, query=word)
+                    methods.append("instance")
+                    break
+                except (DeciderError, MagnusError):
+                    continue
+        return _certified_search(gens, labels, word, engine, bound=None,
+                                 budget=budget, methods=methods,
+                                 instance=instance)
+
+
+def decide_surface_submonoid(presentation, gens, word, budget=None,
+                             labels=None, engine=None):
+    """Membership of a word in the submonoid generated by given words: one
+    query to a fresh `SubmonoidDecider`."""
+    return SubmonoidDecider(presentation, gens, labels, engine).decide(
+        word, budget)
 
 
 def _single_letters(presentation, items):
@@ -450,73 +466,21 @@ def _nonorientable_magnus(pres, gens, lits, labels, word, budget,
     return verdict
 
 
-class PrefixDecider:
-    """Membership in the monoid generated by the relator prefixes.
-
-    One decider per generating set (`prefix_decider` caches it per genus
-    and orientability) holds the proven factor bound lambda(n) on the
-    number of prefixes in a product of length n (a positive functional on
-    non-orientable groups, the graded free image on orientable ones), its
-    provenance for the certificate, and the image route's acceptors, built
-    once per decider.  A query that neither the identity nor the
-    functional settles goes to the image route, then to a certified search
-    up to lambda(n), whose miss is a non-member when it covers the bound.
-    """
-
-    def __init__(self, g, orientable):
-        self.presentation, self.gens = prefix_generators(g, orientable)
-        self.labels = [w.format() for w in self.gens]
-        self.engine = select_engine(self.presentation)
-        self.psi = None
-        if not orientable:
-            self.psi = positive_functional(self.presentation, self.gens)
-        if self.psi is not None:
-            slope = max(abs(v) for v in self.psi.values())
-            self.budget = DistortionBudget(slope, 0)
-            self.provenance = {"route": "functional", "psi": dict(self.psi),
-                               "slope": slope, "offset": 0}
-        else:
-            f = collapse_hom(self.presentation)
-            graded = free_image_graded(self.presentation, f, self.gens)
-            assert graded is not None, "standard prefix sets admit the free image route"
-            self.budget = graded.budget
-            self.provenance = {"route": "free-image", "kind": graded.kind,
-                               "stretch": graded.data["stretch"],
-                               "slope": graded.budget.slope,
-                               "offset": graded.budget.offset}
-        self._image = _ImageRoute(self.presentation, self.gens, self.labels,
-                                  self.engine)
-
-    def decide(self, word, budget=None):
-        word = _parse_word(self.presentation, word)
-        w0 = word.free_reduce()
-        if not w0 or self.engine.is_trivial(word):
-            return Verdict.member([], methods=["identity"])
-        methods = ["prefix"]
-        cert = dict(self.provenance)
-        if self.psi is not None:
-            val = functional_value(self.psi, word)
-            cert["value"] = val
-            if val <= 0:
-                cert["reason"] = ("negative functional value" if val < 0
-                                  else "only the empty product has value 0")
-                return Verdict.non_member(cert, methods=methods + ["functional"])
-            bound = val
-        else:
-            bound = self.budget.bound(len(w0))
-        return (self._image.decide(word, methods, cert, bound)
-                or _certified_search(self.gens, self.labels, word, self.engine,
-                                     bound=bound, budget=budget,
-                                     methods=methods, certificate=cert))
-
-
 @lru_cache(maxsize=None)
 def prefix_decider(g, orientable):
-    return PrefixDecider(g, orientable)
+    """The decider for the relator prefixes of the genus-g surface group
+    (`prefix_generators`), one per genus and orientability.  Its factor
+    bound is linear in the query length, as the paper proves for the prefix
+    monoid: `psi` on non-orientable groups, `graded` on orientable ones."""
+    return SubmonoidDecider(*prefix_generators(g, orientable))
 
 
 def decide_prefix_surface(g, orientable, word, budget=None):
-    return prefix_decider(g, orientable).decide(word, budget)
+    """Membership in the prefix monoid through the same routes as
+    `decide_surface_submonoid`, with "prefix" leading the methods."""
+    verdict = prefix_decider(g, orientable).decide(word, budget)
+    verdict.methods.insert(0, "prefix")
+    return verdict
 
 
 _BS_LETTERS = ("a", "A", "t", "T")
@@ -1025,7 +989,7 @@ def powers_decider(presentation, powers, word, budget=None):
                   for ks in by_gen.values())
     if uniform:
         verdict = decide_surface_submonoid(presentation, ps, word, budget,
-                                           labels=labels, engine=engine)
+                                           labels=labels)
         verdict.methods.insert(0, "powers")
         return verdict
 

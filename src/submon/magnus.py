@@ -494,40 +494,53 @@ class FbcGroup(WordProblem):
 
     def rebase(self, triples):
         """Rewrite kernel triples so the chosen generator only carries
-        subscripts in [low, high-1]; canonical by freeness of the kernel."""
-        work = list(sub_mul(triples))
-        while True:
-            hit = None
-            for i, (g, s, e) in enumerate(work):
-                if g == self.g and not (self.low <= s <= self.high - 1):
-                    hit = (i, g, s, e)
-                    break
-            if hit is None:
-                return tuple(work)
-            i, g, s, e = hit
-            if s >= self.high:
-                repl = sub_shift(self.expr_high, s - self.high)
+        subscripts in [low, high-1]; canonical by freeness of the kernel.
+
+        One pass onto a freely reduced output stack: a letter out of range
+        is replaced by its solved expression, pushed back onto the input
+        and cancelled against the input's top before either is rewritten
+        further.  A top letter at subscript s becomes letters in
+        [low + s - high, s - 1], a bottom one letters in
+        [s + 1, s + high - low], so every replacement nears the range."""
+        g0, low, high = self.g, self.low, self.high
+        todo = list(reversed(triples))
+        out = []
+        while todo:
+            g, s, e = t = todo.pop()
+            if g == g0 and not low <= s < high:
+                repl = (sub_shift(self.expr_high, s - high) if s >= high
+                        else sub_shift(self.expr_low, s - low))
+                for x in reversed(repl if e > 0 else sub_invert(repl)):
+                    if todo and todo[-1] == (x[0], x[1], -x[2]):
+                        todo.pop()
+                    else:
+                        todo.append(x)
+            elif out and out[-1] == (g, s, -e):
+                out.pop()
             else:
-                repl = sub_shift(self.expr_low, s - self.low)
-            if e < 0:
-                repl = sub_invert(repl)
-            work = list(sub_mul(tuple(work[:i]), repl, tuple(work[i + 1:])))
+                out.append(t)
+        return tuple(out)
 
     def normal_form(self, word):
-        """(j, u): the element equals stable^j times the kernel word u."""
+        """(j, u): the element equals stable^j times the kernel word u.
+
+        Each non-stable letter is tagged with the stable-letter prefix sum
+        before it, cancelling against the top of the kernel word; the tags
+        become subscripts by one shift of -j at the end."""
         if word.alphabet != self.presentation.alphabet:
             raise MagnusError("word not over the presentation alphabet")
         j = 0
-        u = ()
+        u = []
         for x in word.letters:
             g = abs(x) - 1
             e = 1 if x > 0 else -1
             if g == self.t:
                 j += e
-                u = sub_shift(u, -e)
+            elif u and u[-1] == (g, j, -e):
+                u.pop()
             else:
-                u = sub_mul(u, ((g, 0, e),))
-        return j, self.rebase(u)
+                u.append((g, j, e))
+        return j, self.rebase(sub_shift(u, -j))
 
     def is_trivial(self, word):
         j, u = self.normal_form(word)

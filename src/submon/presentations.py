@@ -125,7 +125,7 @@ def _standard_genus(presentation, orientable):
     if g < 2 or (orientable and k % 2):
         return None
     std = surface_presentation(g) if orientable else nonorientable_presentation(g)
-    return g if _same_presentation(presentation, std) else None
+    return g if presentation == std else None
 
 
 def _from_genus_2(f, alphabet, g, orientable):
@@ -155,20 +155,16 @@ def collapse_hom(presentation):
     return None
 
 
+@functools.lru_cache(maxsize=64)
 def free_collapses(presentation):
     """Homomorphisms of the presented group onto free groups, as (name, map)
     pairs in the order the image route tries them: `collapse_hom`, then for
     S_g the collapse of S_2 that Dehn-twists the second handle once, after
     the pinch onto S_2.  A BS(m, n) presentation with no other collapse maps
     onto the integers by its stable-letter exponent ("stable-exponent":
-    t to x, a to 1).  Only maps that kill every relator are kept."""
-    return _free_collapses(presentation.alphabet,
-                           tuple(r.letters for r in presentation.relators))
-
-
-@functools.lru_cache(maxsize=64)
-def _free_collapses(alphabet, relators):
-    presentation = Presentation(alphabet, [Word(alphabet, r) for r in relators])
+    t to x, a to 1).  Only maps that kill every relator are kept.  Built
+    once per presentation, equal presentations sharing the result."""
+    alphabet = presentation.alphabet
     out = []
     f = collapse_hom(presentation)
     if f is not None:
@@ -182,12 +178,6 @@ def _free_collapses(alphabet, relators):
                     GroupHom.from_dict(alphabet, _X1, {"t": "x"})))
     return tuple((name, f) for name, f in out
                  if f.check_presentation(presentation))
-
-
-def _same_presentation(p, q):
-    return (p.alphabet == q.alphabet
-            and tuple(r.letters for r in p.relators)
-            == tuple(r.letters for r in q.relators))
 
 
 class EngineInfo(WordProblem):
@@ -302,7 +292,7 @@ def substituted_engine(presentation):
         std = nonorientable_presentation(k)
     except WordError:
         return None
-    if not _same_presentation(presentation, std):
+    if presentation != std:
         return None
     names = presentation.alphabet.names
     stable, replaced = names[0], names[1]
@@ -320,8 +310,12 @@ class _FreeEngine(WordProblem):
         return not word.free_reduce()
 
 
+@functools.lru_cache(maxsize=64)
 def select_engine(presentation):
-    """Best available word-problem engine for a presentation, or None."""
+    """Best available word-problem engine for a presentation, or None.
+
+    Chosen and built once per presentation: equal presentations (same
+    alphabet, same relators) share one engine, with its caches."""
     if not presentation.relators:
         return _FreeEngine()
     try:

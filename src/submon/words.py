@@ -303,7 +303,11 @@ class WordProblem:
 
 
 class Presentation:
-    """A group presentation: alphabet plus a list of relator words."""
+    """A group presentation: alphabet plus a tuple of relator words.
+
+    Presentations are values: two are equal, and hash alike, when their
+    alphabets and relator tuples are, so per-presentation caches such as
+    `select_engine` serve every equal copy."""
 
     def __init__(self, alphabet, relators):
         self.alphabet = alphabet
@@ -312,6 +316,14 @@ class Presentation:
             if not isinstance(r, Word) or r.alphabet != alphabet:
                 raise WordError(f"relator {r!r} not a word over {alphabet!r}")
         self.relators = relators
+
+    def __eq__(self, other):
+        return (isinstance(other, Presentation)
+                and self.alphabet == other.alphabet
+                and self.relators == other.relators)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.relators))
 
     @classmethod
     def parse(cls, text):

@@ -455,10 +455,15 @@ def test_c07_prefix_membership():
         dec = prefix_decider(g, orientable)
         pres, gens = prefix_generators(g, orientable)
         hom = collapse_hom(pres)
-        prov = dec.provenance
         # lambda is affine with slope bounded by the composed stretch
-        assert dec.budget.bound(10) == prov["slope"] * 10 + prov["offset"]
-        assert prov["slope"] <= hom.max_image_length
+        if dec.psi is not None:
+            route, slope, offset = "functional", max(
+                abs(v) for v in dec.psi.values()), 0
+        else:
+            budget = dec.graded.budget
+            route, slope, offset = "free-image", budget.slope, budget.offset
+            assert budget.bound(10) == slope * 10 + offset
+        assert slope <= hom.max_image_length
         by_label = dict(zip(dec.labels, dec.gens))
         rng = random.Random(70 + g + orientable)
         for _ in range(1000):
@@ -469,12 +474,13 @@ def test_c07_prefix_membership():
                 word = word * gens[i]
             verdict = decide_prefix_surface(g, orientable, word)
             assert verdict.is_member, (name, picks)
+            assert verdict.bound <= slope * len(word) + offset
             prod = Word(pres.alphabet, ())
             for label in verdict.witness:
                 prod = prod * by_label[label]
             assert dec.engine.equal(prod, word), (name, picks)
-        lines.append(f"{name}: route={prov['route']} slope={prov['slope']} "
-                     f"offset={prov['offset']} (C={hom.max_image_length})")
+        lines.append(f"{name}: route={route} slope={slope} "
+                     f"offset={offset} (C={hom.max_image_length})")
     v = decide_prefix_surface(2, False, "C")
     assert v.is_non_member
     dt = time.perf_counter() - t0

@@ -1,4 +1,6 @@
 import json
+import os
+import shlex
 import time
 
 import pytest
@@ -201,6 +203,38 @@ def test_depth_option(capsys):
                        "--gens", "t a t'", "--word", "t a a t'",
                        "--depth", "3", "--json")
     assert code in (0, 2)
+
+
+def test_negative_depth_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "--group", "gens: a b;rel: aabbb", "--gens", "a,b",
+              "--word", "abab", "--depth", "-2"])
+    assert exc.value.code == 3
+    assert "--depth: must be >= 0" in capsys.readouterr().err
+
+
+def _readme_session():
+    """(argv, expected stdout) for each `$ submon ...` entry of the fenced
+    block after "A sample session:" in the README."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    block = text.split("A sample session:", 1)[1].split("```", 2)[1]
+    entries = []
+    for line in block.strip("\n").splitlines():
+        if line.startswith("$ submon "):
+            entries.append((shlex.split(line)[2:], []))
+        elif line:
+            entries[-1][1].append(line)
+    return entries
+
+
+def test_readme_sample_session(capsys):
+    entries = _readme_session()
+    assert len(entries) >= 5
+    for argv, expected in entries:
+        main(argv)
+        assert capsys.readouterr().out.splitlines() == expected, argv
 
 
 @pytest.mark.parametrize("argv", [

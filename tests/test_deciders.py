@@ -180,10 +180,10 @@ def test_prefix_surface():
     v = decide_prefix_surface(2, False, "c'")
     assert v.is_non_member
     assert v.certificate["reason"] == "negative functional value"
-    assert v.certificate["route"] == "functional"
+    assert v.methods[:2] == ["prefix", "functional"]
     v = decide_prefix_surface(2, True, "a b")
     assert v.is_member and v.witness == ["ab"]
-    assert v.certificate["route"] == "free-image"
+    assert v.methods[:2] == ["prefix", "free-image"]
     assert v.certificate["slope"] == 3
     v = decide_prefix_surface(2, True, "a a b")
     assert v.is_member and v.witness == ["a", "ab"]
@@ -249,7 +249,8 @@ def test_prefix_non_members_settled_by_images():
                 word = _splice_relator(rng, pres, word)
             assert word.exponent_sum(first) < 0
             v = decide_prefix_surface(g, True, word)
-            assert v.is_non_member and v.methods == ["prefix", "image"], (
+            assert v.is_non_member and v.methods == [
+                "prefix", "free-image", "image"], (
                 g, word.format(), v)
             _check_image_certificate(pres, gens, word, v)
 

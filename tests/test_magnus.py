@@ -207,6 +207,10 @@ def test_fbc_shift_to_basis():
     # orbit words grow symmetrically outwards
     assert len(eng.shift_to_basis(a0, 3)) == 5
     assert len(eng.shift_to_basis(a0, -2)) == 5
+    # and linearly: each replacement cancels against its neighbours before
+    # either is rewritten further, so far shifts stay cheap
+    assert len(eng.shift_to_basis(a0, 60)) == 119
+    assert len(eng.shift_to_basis(a0, -60)) == 121
 
 
 def test_fbc_function_wrapper():
@@ -294,3 +298,53 @@ def test_long_words_agree_across_engines(name, seed, length, kind):
     assert answer == second.is_trivial(w), (name, seed, length, kind)
     if kind == "trivial":
         assert answer
+
+
+def _rescanning_normal_form(fbc, word):
+    """FbcGroup.normal_form as it was first written: shift the whole kernel
+    word at every stable letter, then rebase by replacing the first letter
+    out of range and reducing and rescanning the whole word, until none is
+    left.  Quadratic, but plainly right; the one-pass version must agree."""
+    j, u = 0, ()
+    for x in word.letters:
+        g, e = abs(x) - 1, (1 if x > 0 else -1)
+        if g == fbc.t:
+            j += e
+            u = sub_shift(u, -e)
+        else:
+            u = sub_mul(u, ((g, 0, e),))
+    while True:
+        hit = next((i for i, (g, s, _) in enumerate(u)
+                    if g == fbc.g and not fbc.low <= s < fbc.high), None)
+        if hit is None:
+            return j, u
+        _, s, e = u[hit]
+        repl = (sub_shift(fbc.expr_high, s - fbc.high) if s >= fbc.high
+                else sub_shift(fbc.expr_low, s - fbc.low))
+        u = sub_mul(u[:hit], repl if e > 0 else sub_invert(repl),
+                    u[hit + 1:])
+
+
+FBC_GROUPS = {
+    text: FbcGroup(Presentation.parse(f"gens: a t\nrel: {text}\n"), "t")
+    for text in ("tatATaTA", "ttaTaTA", "tataTTA")
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(FBC_GROUPS)),
+       st.lists(st.sampled_from([1, -1, 2, -2]), max_size=24))
+def test_fbc_normal_form_short_words(text, letters):
+    fbc = FBC_GROUPS[text]
+    w = Word(fbc.presentation.alphabet, letters)
+    assert fbc.normal_form(w) == _rescanning_normal_form(fbc, w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(st.sampled_from(sorted(FBC_GROUPS)), st.integers(0, 2 ** 32),
+       st.integers(600, 1300),
+       st.sampled_from(["trivial", "commutator", "power"]))
+def test_fbc_normal_form_long_words(text, seed, length, kind):
+    fbc = FBC_GROUPS[text]
+    w = _long_word(fbc.presentation, seed, length, kind)
+    assert fbc.normal_form(w) == _rescanning_normal_form(fbc, w)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from submon.words import Alphabet, Word, WordError
+from submon.words import Alphabet, Word, WordError, Presentation
 from submon.presentations import (
     surface_presentation, nonorientable_presentation, bs_presentation,
     burns_presentation, builtin, prefix_generators, s2_retraction,
@@ -133,6 +133,23 @@ def test_parse_bs_relator():
     assert parse_bs_relator(bs_presentation(3, -5)) == (3, -5)
     assert parse_bs_relator(burns_presentation()) is None
     assert parse_bs_relator(nonorientable_presentation(2)) is None
+
+
+def test_presentations_compare_by_content():
+    first, second = builtin("S2"), builtin("S2")
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    changed = Presentation(first.alphabet, [first.word("abABdcDC")])
+    assert changed != first
+    renamed = Presentation(Alphabet(["a", "b", "c", "e"]),
+                           [Word(Alphabet(["a", "b", "c", "e"]),
+                                 first.relator.letters)])
+    assert renamed != first
+    assert Presentation(first.alphabet, []) != first
+    # the per-presentation caches serve every equal copy
+    assert select_engine(first) is select_engine(second)
+    assert free_collapses(first) is free_collapses(second)
+    assert select_engine(changed) is not select_engine(first)
 
 
 def test_engine_selection():

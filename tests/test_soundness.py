@@ -10,7 +10,8 @@ outside the monoid of the generators' exponents.  The orientable Magnus
 decider must agree with the general surface decider on the same
 generating set.  Products of relator prefixes on S2 and S3 are members,
 and their witnesses must multiply back through Britton, an engine the
-prefix decider does not use.
+prefix decider does not use.  The prefix decider is the general decider on
+the prefix set: the same verdict, with "prefix" leading the methods.
 """
 
 from math import gcd
@@ -257,3 +258,45 @@ def test_prefix_products_are_never_non_members(case):
         for label in verdict.witness:
             prod = prod * table[label]
         assert PREFIX_BRITTON[g].equal(prod, query), (g, verdict.witness)
+
+
+ALL_PREFIX_SETS = {(g, o): prefix_generators(g, o)
+                   for g in (2, 3) for o in (True, False)}
+
+
+@st.composite
+def prefix_queries(draw):
+    """A query over the prefix set of S2, S3, N2 or N3: a product of
+    prefixes, with a conjugated relator rotation spliced in, or inverted."""
+    g, orientable = draw(st.sampled_from(sorted(ALL_PREFIX_SETS)))
+    pres, gens = ALL_PREFIX_SETS[g, orientable]
+    picks = draw(st.lists(st.integers(0, len(gens) - 1), min_size=1,
+                          max_size=4))
+    query = [x for i in picks for x in gens[i].letters]
+    shape = draw(st.sampled_from(("product", "spliced", "inverted")))
+    if shape == "spliced":
+        rel = pres.relator.letters
+        turn = draw(st.integers(0, len(rel) - 1))
+        conj = tuple(draw(st.lists(signed_letter(len(pres.alphabet)),
+                                   max_size=2)))
+        at = draw(st.integers(0, len(query)))
+        query[at:at] = (conj + rel[turn:] + rel[:turn]
+                        + tuple(-x for x in reversed(conj)))
+    elif shape == "inverted":
+        query = [-x for x in reversed(query)]
+    return g, orientable, Word(pres.alphabet, tuple(query))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(prefix_queries())
+def test_prefix_decider_is_the_general_decider(case):
+    g, orientable, query = case
+    prefix = decide_prefix_surface(g, orientable, query, BUDGET)
+    general = decide_surface_submonoid(*ALL_PREFIX_SETS[g, orientable],
+                                       query, BUDGET)
+    assert prefix.methods[0] == "prefix"
+    assert prefix.methods[1:] == general.methods, (g, orientable, query)
+    assert prefix.outcome == general.outcome
+    assert prefix.witness == general.witness
+    assert prefix.certificate == general.certificate
+    assert prefix.bound == general.bound
