@@ -18,13 +18,11 @@ Plus two combinatorial checks on literal letter sequences: `is_code`
 
 import math
 
-from submon.words import WordError, product, signed_table, _reduce_letters
+from submon.words import (
+    WordError, invert_letters, product, signed_table, _reduce_letters,
+)
 
 BASE = 0
-
-
-def _inverse(label):
-    return tuple(-y for y in reversed(label))
 
 
 class StallingsGraph:
@@ -60,7 +58,7 @@ class StallingsGraph:
             for j, x in enumerate(w.letters):
                 label = (i + 1,) if j == 0 else ()
                 pending.append((states[j], x, states[j + 1], label))
-                pending.append((states[j + 1], -x, states[j], _inverse(label)))
+                pending.append((states[j + 1], -x, states[j], invert_letters(label)))
                 out.setdefault(states[j + 1], {})
 
         def find(state):
@@ -76,7 +74,7 @@ class StallingsGraph:
 
         def resolve(q, label):
             q, offset = find(q)
-            return q, _reduce_letters(label + _inverse(offset))
+            return q, _reduce_letters(label + invert_letters(offset))
 
         while pending:
             p, x, q, label = pending.pop()
@@ -93,7 +91,7 @@ class StallingsGraph:
                 q, label, q2, label2 = q2, label2, q, label
             # fold q (gone) into q2 (kept), both reached from p by x
             edges[x] = (q2, label2)
-            merged[q] = (q2, _reduce_letters(_inverse(label2) + label))
+            merged[q] = (q2, _reduce_letters(invert_letters(label2) + label))
             pending.extend((q, y, t, lab) for y, (t, lab) in out.pop(q).items())
         self._out = {(p, x): resolve(q, label)
                      for p, edges in out.items()
@@ -308,17 +306,6 @@ class SaturatedAcceptor:
                    (self.generators[i].letters for i in factors)) != red:
             raise AssertionError("witness factorization mismatch")
         return factors
-
-
-def benois_member(alphabet, generators, word):
-    """(member, witness factor index list) for Mon<generators>."""
-    acc = SaturatedAcceptor(alphabet, generators)
-    w = acc.witness(word)
-    return (w is not None), w
-
-
-def min_generator_length(alphabet, generators, word):
-    return SaturatedAcceptor(alphabet, generators).factor_count(word)
 
 
 def is_code(words):

@@ -32,9 +32,8 @@ from submon.words import (
     solve_relator,
 )
 from submon.magnus import (
-    MagnusError, magnus_rewrite, interval_presentation, HnnData,
-    BrittonEngine, FbcGroup, sub_name, sub_invert, substitute_generator,
-    _qualifying_generator,
+    MagnusError, magnus_rewrite, britton_engine, FbcGroup, sub_name,
+    sub_invert, substitute_generator,
 )
 from submon.automata import StallingsGraph, SaturatedAcceptor, no_cancellation
 from submon.distortion import (
@@ -79,7 +78,7 @@ def _verified_member(engine, gens, labels, picks, word, methods,
 
 
 def _certified_search(gens, labels, word, engine, bound=None, budget=None,
-                      methods=(), certificate=None, instance=None):
+                      methods=(), certificate=None):
     """Search tail shared by the deciders.
 
     `bound` is a proven cap on factor counts; covering it with a certified
@@ -103,20 +102,19 @@ def _certified_search(gens, labels, word, engine, bound=None, budget=None,
     methods.append("semi-decision")
     return Verdict.unknown(methods=methods,
                            certificate=dict(certificate or {}, limit=res.limit),
-                           instance=instance, bound=depth)
+                           bound=depth)
 
 
 class DgInstance:
     """Membership instance over a subscript window: generators in the form
-    stable^j u with u over the window letters, plus the splitting data."""
+    stable^j u with u over the window letters, plus the splitting data
+    `hnn`, which also holds the window, its interval presentation and the
+    eliminated generator."""
 
-    def __init__(self, presentation, stable, gen, window, interval, hnn,
-                 generators, labels, query=None, inverted=False):
+    def __init__(self, presentation, stable, hnn, generators, labels,
+                 query=None, inverted=False):
         self.presentation = presentation
         self.stable = stable
-        self.gen = gen
-        self.window = window
-        self.interval = interval
         self.hnn = hnn
         self.generators = generators
         self.labels = labels
@@ -134,7 +132,7 @@ class DgInstance:
         return out
 
     def serialize(self):
-        ip = self.interval
+        ip = self.hnn.ip
         basis = self.hnn.basis
         base = self.presentation.alphabet
         phi = {}
@@ -143,8 +141,8 @@ class DgInstance:
         return {
             "presentation": self.presentation.format(),
             "stable": self.stable,
-            "eliminated": self.gen,
-            "window": list(self.window),
+            "eliminated": basis.gen,
+            "window": [ip.n, ip.m],
             "interval": ip.full_presentation.format(),
             "basis": list(basis.alphabet.names),
             "substitutions": {
@@ -167,15 +165,21 @@ class DgInstance:
 
 def reduce_to_dg_instance(presentation, stable, gens, query=None):
     """Rewrite a generating set into stable^j u coordinates over a window
-    wide enough for every u, with the splitting data attached."""
+    wide enough for every u, with the splitting data attached.
+
+    The relator report, the eliminated generator and the splitting come
+    from the presentation's Britton engine (`britton_engine`), whose window
+    cache they share, and every decomposition is checked through that
+    engine before the instance is returned."""
     gens = _parse_words(presentation, gens)
     labels = [w.format() for w in gens]
     if query is not None:
         query = _parse_word(presentation, query)
     try:
-        report, gen = _qualifying_generator(presentation, stable, None)
+        engine = britton_engine(presentation, stable)
     except MagnusError as e:
         raise DeciderError(str(e)) from None
+    report = engine.report
     alphabet = presentation.alphabet
     names = alphabet.names
     t_letter = alphabet.letter(stable)
@@ -208,13 +212,12 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
     m = max(highs, default=n + 1)
     if m < n + 1:
         m = n + 1
-    ip = interval_presentation(presentation, stable, n, m)
-    hnn = HnnData(ip, gen)
+    hnn = engine.window(n, m)
+    ip = hnn.ip
     generators = [(j, ip.word_from_triples(ts)) for j, ts in decomps]
     query_pair = (None if query_decomp is None else
                   (query_decomp[0], ip.word_from_triples(query_decomp[1])))
 
-    engine = BrittonEngine(presentation, stable, gen)
     for (j, ts), w in zip(decomps, gens):
         letters = [t_letter] * j if j >= 0 else [-t_letter] * -j
         for g, s, e in ts:
@@ -225,8 +228,20 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
         if not engine.equal(rebuilt, w):
             raise AssertionError("window decomposition failed to verify")
 
-    return DgInstance(presentation, stable, gen, (n, m), ip, hnn,
-                      generators, labels, query_pair, inverted)
+    return DgInstance(presentation, stable, hnn, generators, labels,
+                      query_pair, inverted)
+
+
+def _residual_instance(presentation, stables, gens, word):
+    """The DG instance over the first of the stable letters that admits
+    one, or None."""
+    for stable in stables:
+        try:
+            return reduce_to_dg_instance(presentation, stable, gens,
+                                         query=word)
+        except (DeciderError, MagnusError):
+            continue
+    return None
 
 
 class SubmonoidDecider:
@@ -242,9 +257,11 @@ class SubmonoidDecider:
 
     `decide` runs the routes in order: positive functional (complete),
     graded free image (complete when the composed bound fits the budget),
-    window instance plus bounded search (member or unknown).  On surface
-    groups and BS(m, n) each route runs the image route first and searches
-    only when no collapse settles the query.
+    bounded search (member or unknown).  On surface groups and BS(m, n)
+    each route runs the image route first and searches only when no
+    collapse settles the query.  An unknown from the last route carries the
+    DG instance of the residual problem, built only then, with "instance"
+    leading its methods.
     """
 
     def __init__(self, presentation, gens, labels=None, engine=None):
@@ -337,22 +354,16 @@ class SubmonoidDecider:
                                          bound=bound, budget=budget,
                                          methods=methods, certificate=cert))
 
-        verdict = self._image(word, methods)
-        if verdict is not None:
-            return verdict
-        instance = None
-        if self.presentation.is_one_relator:
-            for stable in self.presentation.alphabet.names:
-                try:
-                    instance = reduce_to_dg_instance(
-                        self.presentation, stable, gens, query=word)
-                    methods.append("instance")
-                    break
-                except (DeciderError, MagnusError):
-                    continue
-        return _certified_search(gens, labels, word, engine, bound=None,
-                                 budget=budget, methods=methods,
-                                 instance=instance)
+        verdict = (self._image(word, methods)
+                   or _certified_search(gens, labels, word, engine,
+                                        budget=budget, methods=methods))
+        if verdict.is_unknown and self.presentation.is_one_relator:
+            verdict.instance = _residual_instance(
+                self.presentation, self.presentation.alphabet.names, gens,
+                word)
+            if verdict.instance is not None:
+                verdict.methods.insert(0, "instance")
+        return verdict
 
 
 def decide_surface_submonoid(presentation, gens, word, budget=None,
@@ -670,11 +681,18 @@ def _tiling_dp(u, factors):
     return out
 
 
-def _ordered_dp(u, factor_of, kmax):
-    """Cover of u by factor_of(k) words with k weakly decreasing from kmax;
-    returns the k sequence or None."""
+def _ordered_cover(u, factors, core, stable):
+    """The ordered orbit cover of an FBC normal form, as witness letters.
+
+    `factors[k]` is the kernel word of the base letter `core` conjugated k
+    steps by the stable letter, for k from 0 to the top exponent.  A cover
+    of the kernel word u by factors with k weakly decreasing from the top,
+    factor k used c_k times, is the witness
+    core^c_top stable core^c_(top-1) ... stable core^c_0.  Returns its
+    letters, or None when no such cover exists."""
+    top = len(factors) - 1
     dead = set()
-    out = []
+    ks = []
 
     def go(pos, kcap):
         if pos == len(u):
@@ -682,17 +700,24 @@ def _ordered_dp(u, factor_of, kmax):
         if (pos, kcap) in dead:
             return False
         for k in range(kcap, -1, -1):
-            fw = factor_of(k)
+            fw = factors[k]
             l = len(fw)
             if l and pos + l <= len(u) and u[pos:pos + l] == fw:
-                out.append(k)
+                ks.append(k)
                 if go(pos + l, k):
                     return True
-                out.pop()
+                ks.pop()
         dead.add((pos, kcap))
         return False
 
-    return out if go(0, kmax) else None
+    if not go(0, top):
+        return None
+    witness = []
+    for k in range(top, -1, -1):
+        witness.extend([core] * ks.count(k))
+        if k:
+            witness.append(stable)
+    return witness
 
 
 def decide_burns_magnus(letters, word, budget=None):
@@ -778,28 +803,16 @@ def decide_burns_magnus(letters, word, budget=None):
                                      methods=methods + ["mixed-signs"],
                                      certificate=cert_base)
         # one base letter and one stable letter
-        J = abs(j)
         inverse = "A" in present
         sign = -1 if down else 1
-        cache = {}
-
-        def factor_of(k):
-            if k not in cache:
-                fw = orbit(sign * k)
-                cache[k] = sub_invert(fw) if inverse else fw
-            return cache[k]
-
+        factors = [orbit(sign * k) for k in range(abs(j) + 1)]
+        if inverse:
+            factors = [sub_invert(fw) for fw in factors]
         methods.append("orbit-dp")
-        ks = _ordered_dp(u, factor_of, J)
-        if ks is None:
+        witness = _ordered_cover(u, factors, "A" if inverse else "a",
+                                 "t" if down else "T")
+        if witness is None:
             return reject("ordered orbit tiling exhausted")
-        stable = "t" if down else "T"
-        core = "A" if inverse else "a"
-        witness = []
-        for i in range(J + 1):
-            witness.extend([core] * ks.count(J - i))
-            if i < J:
-                witness.append(stable)
 
     return _verified_member(fbc, gens, S, [S.index(c) for c in witness], word,
                             methods, dict(cert_base))
@@ -905,48 +918,25 @@ def decide_positivity_fbc(presentation, word, budget=None):
         cert["reason"] = "negative stable exponent"
         return Verdict.non_member(cert, methods=methods)
 
-    cache = {}
-
-    def factor_of(k):
-        if k not in cache:
-            cache[k] = fbc.shift_to_basis(((fbc.g, 0, 1),), -k)
-        return cache[k]
-
-    seqs = [factor_of(k) for k in range(j + 1)]
-    index = {}
-    as_ints = []
-    for fw in seqs:
-        row = []
-        for g, s, e in fw:
-            key = (g, s)
-            if key not in index:
-                index[key] = len(index) + 1
-            row.append(e * index[key])
-        as_ints.append(tuple(row))
-    if all(seqs) and no_cancellation(as_ints):
+    factors = [fbc.shift_to_basis(((fbc.g, 0, 1),), -k) for k in range(j + 1)]
+    # every factor nonempty, and no last letter cancels a first letter
+    if all(factors) and not {fw[-1] for fw in factors} & {
+            (g, s, -e) for g, s, e in (fw[0] for fw in factors)}:
         methods.append("orbit-dp")
-        ks = _ordered_dp(u, factor_of, j)
-        if ks is None:
+        witness = _ordered_cover(u, factors, base, stable)
+        if witness is None:
             cert["reason"] = "ordered orbit tiling exhausted"
             return Verdict.non_member(cert, methods=methods)
-        witness = []
-        for i in range(j + 1):
-            witness.extend([base] * ks.count(j - i))
-            if i < j:
-                witness.append(stable)
         return _verified_member(fbc, gens, labels,
                                 [labels.index(c) for c in witness], word,
                                 methods, cert)
 
-    instance = None
-    try:
-        instance = reduce_to_dg_instance(presentation, stable, gens,
-                                         query=word)
-    except (DeciderError, MagnusError):
-        pass
-    return _certified_search(gens, labels, word, fbc, bound=None,
-                             budget=budget, methods=methods,
-                             certificate=cert, instance=instance)
+    verdict = _certified_search(gens, labels, word, fbc, budget=budget,
+                                methods=methods, certificate=cert)
+    if verdict.is_unknown:
+        verdict.instance = _residual_instance(presentation, [stable], gens,
+                                              word)
+    return verdict
 
 
 def choose_signs(presentation, gens):

@@ -194,6 +194,11 @@ def positive_functional(presentation, gens, radius=8):
     integer solution exactly when it has a rational one; when an exact
     elimination finds none, the scan could find nothing either and is
     skipped, and the answer is None all the same.
+
+    Only the letters some constraint weighs are scanned.  At the first
+    radius r with a solution every solution in the cube lies on its shell,
+    and any other involved letter takes -r, the first value a scan of the
+    whole box would try for it, so the answer is that scan's.
     """
     alphabet = presentation.alphabet
     k = len(alphabet)
@@ -216,17 +221,20 @@ def positive_functional(presentation, gens, radius=8):
     gen_vecs = [vec(w) for w in gens]
     if not _has_rational_functional(rel_vecs, gen_vecs):
         return None
+    weighed = [i for i in range(len(involved))
+               if any(v[i] for v in rel_vecs + gen_vecs)]
+    rel_vecs = [[v[i] for i in weighed] for v in rel_vecs]
+    gen_vecs = [[v[i] for i in weighed] for v in gen_vecs]
     for r in range(radius + 1):
-        for point in itertools.product(range(-r, r + 1), repeat=len(involved)):
-            # the shell of infinity norm r
-            if r not in point and -r not in point:
-                continue
+        for point in itertools.product(range(-r, r + 1), repeat=len(weighed)):
             if any(sum(map(mul, point, rv)) for rv in rel_vecs):
                 continue
             if all(sum(map(mul, point, gv)) >= 1 for gv in gen_vecs):
                 psi = {name: 0 for name in alphabet.names}
-                for g, c in zip(involved, point):
-                    psi[alphabet.names[g]] = c
+                for g in involved:
+                    psi[alphabet.names[g]] = -r
+                for i, c in zip(weighed, point):
+                    psi[alphabet.names[involved[i]]] = c
                 return psi
     return None
 
@@ -375,13 +383,13 @@ class SearchResult:
                 f"limit={self.limit})")
 
 
-def bounded_search(gens, target, budget, engine=None, meet_levels=1):
+def bounded_search(gens, target, budget, engine=None):
     """Breadth-first product search for target in Mon<gens>.
 
     States are the freely reduced letter tuples of products, deduplicated;
     each is its parent times one generator, cancelled at the junction only,
     so a step costs the junction and a tuple copy rather than a full
-    reduction.  A backward meet set of target times inverted generators
+    reduction.  A backward meet set of target times each inverted generator
     gives early witnesses.
     With an engine, states are additionally compared to the target through
     it when the check budget allows, and only then does exhausting the
@@ -396,22 +404,16 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
     active = [(i, w) for i, w in enumerate(words) if w]
     target = target.free_reduce()
     meet = {target.letters: []}
-    if meet_levels >= 1:
-        for i, g in active:
-            meet.setdefault((target * ~g).letters, [i])
-    if meet_levels >= 2:
-        for j, h in active:
-            base = target * ~h
-            for i, g in active:
-                meet.setdefault((base * ~g).letters, [i, j])
+    for i, g in active:
+        meet.setdefault((target * ~g).letters, [i])
 
     steps = [(i, g.letters) for i, g in active]
-    states = {(): (None, None, 0)}
+    states = {(): (None, None)}
 
     def path(letters):
         out = []
         while True:
-            parent, gi, _ = states[letters]
+            parent, gi = states[letters]
             if parent is None:
                 return list(reversed(out))
             out.append(gi)
@@ -430,7 +432,7 @@ def bounded_search(gens, target, budget, engine=None, meet_levels=1):
                 q = join_reduced(p, g)
                 if q in states:
                     continue
-                states[q] = (p, i, depth)
+                states[q] = (p, i)
                 if q in meet:
                     wit = path(q) + meet[q]
                     return SearchResult(True, wit, False, False,

@@ -9,7 +9,7 @@ built from:
   often they are hit; a generator whose extremes are each hit exactly once
   qualifies, and its top occurrences can be eliminated by Tietze moves.
 
-* `interval_presentation` spells out the subgroup generated by the
+* `IntervalPresentation` spells out the subgroup generated by the
   subscripted letters over a subscript window, together with the shifted
   relators and the conjugation relations linking neighbours.
 
@@ -21,9 +21,16 @@ built from:
   splitting; `FbcGroup` solves it through normal forms t^j u with u in
   the kernel of the t-exponent map, written over the kernel basis.
 
+`britton_engine` keeps one Britton engine per presentation and stable
+letter, and `BrittonEngine.window` is the one place a splitting is built:
+the engine's own pinching and the DG instances of `submon.deciders` read
+their windows from it.
+
 Kernel words are handled as tuples of (generator index, subscript, sign)
 triples so subscripts can roam without registering alphabets.
 """
+
+from functools import lru_cache
 
 from submon.words import (
     Alphabet, Word, Presentation, GroupHom, WordError, WordProblem,
@@ -208,13 +215,14 @@ class IntervalPresentation:
         base = presentation.alphabet
         t = base.index(stable)
         image = report.image
+        # generator index -> (lowest, highest) subscript in the window
         self.spans = {}
         letters = []
         for g in image.occurring():
             name = base.names[g]
             lo = image.min_subscript(name) + n
             hi = image.max_subscript(name) + m
-            self.spans[name] = (lo, hi)
+            self.spans[g] = (lo, hi)
             for s in range(lo, hi + 1):
                 letters.append((g, s))
         self.letters = tuple(letters)
@@ -230,7 +238,7 @@ class IntervalPresentation:
         for w in self.shifted_relators:
             relators.append(Word(full_alphabet, w.letters))
         for g, s in letters:
-            if (g, s + 1) in set(letters):
+            if s < self.spans[g][1]:
                 lo_letter = full_alphabet.letter(sub_name(base, g, s))
                 hi_letter = full_alphabet.letter(sub_name(base, g, s + 1))
                 relators.append(
@@ -243,10 +251,6 @@ class IntervalPresentation:
         for g, s, e in triples:
             out.append(e * self.alphabet.letter(sub_name(base, g, s)))
         return Word(self.alphabet, out)
-
-
-def interval_presentation(presentation, stable, n, m):
-    return IntervalPresentation(presentation, stable, n, m)
 
 
 class Basis:
@@ -313,20 +317,10 @@ class HnnData:
             raise MagnusError("window too narrow for a splitting")
         self.ip = ip
         self.basis = Basis(ip, gen)
-        base = ip.original.alphabet
-        image = ip.report.image
-
-        def window_letters(lo_shift, hi_shift):
-            out = []
-            for g in image.occurring():
-                name = base.names[g]
-                lo = image.min_subscript(name) + lo_shift
-                hi = image.max_subscript(name) + hi_shift
-                out.extend((g, s) for s in range(lo, hi + 1))
-            return out
-
-        self.P_letters = window_letters(ip.n, ip.m - 1)
-        self.Q_letters = window_letters(ip.n + 1, ip.m)
+        self.P_letters = [(g, s) for g, (lo, hi) in ip.spans.items()
+                          for s in range(lo, hi)]
+        self.Q_letters = [(g, s) for g, (lo, hi) in ip.spans.items()
+                          for s in range(lo + 1, hi + 1)]
         self.P_words = [self.basis.letter_word(g, s) for g, s in self.P_letters]
         self.Q_words = [self.basis.letter_word(g, s) for g, s in self.Q_letters]
         self.P_graph = StallingsGraph(self.basis.alphabet, self.P_words)
@@ -377,7 +371,7 @@ class BrittonEngine(WordProblem):
 
     Requires a stable letter with zero relator exponent sum, every other
     generator occurring in the relator, and a qualifying generator in the
-    max_min_report.  Window machinery is cached per window.
+    max_min_report.  Splittings are built once per window (`window`).
 
     `is_trivial` is one left-to-right pass over a stack of stable letters,
     each with the freely reduced basis segment that follows it, above the
@@ -396,22 +390,34 @@ class BrittonEngine(WordProblem):
         self.presentation = presentation
         self.stable = stable
         self.report, self.gen = _qualifying_generator(presentation, stable, gen)
-        self._machinery = {}
+        stats = self.report.stats.values()
+        self._span_lo = max(st["min"] for st in stats)
+        self._span_hi = min(st["max"] for st in stats)
+        self._windows = {}
+        self._pieces = {}
 
-    def _window(self, n, m):
-        """The splitting over window [n, m] and the basis word of every
-        non-stable letter at subscript 0, keyed by signed letter."""
-        key = (n, m)
-        if key not in self._machinery:
+    def window(self, n, m):
+        """The splitting over window [n, m], built on first use and kept:
+        pinching and every DG instance over the same window share it."""
+        hnn = self._windows.get((n, m))
+        if hnn is None:
             ip = IntervalPresentation(self.presentation, self.stable, n, m)
-            hnn = HnnData(ip, self.gen)
-            pieces = {}
-            for g in ip.report.image.occurring():
-                piece = hnn.basis.letter_word(g, 0).letters
+            hnn = self._windows[n, m] = HnnData(ip, self.gen)
+        return hnn
+
+    def _subscript_zero(self, n, m):
+        """The basis word of every non-stable letter at subscript 0 in
+        window [n, m], keyed by signed letter; a window `is_trivial` picks
+        always holds subscript 0, a DG instance's window need not."""
+        pieces = self._pieces.get((n, m))
+        if pieces is None:
+            basis = self.window(n, m).basis
+            pieces = self._pieces[n, m] = {}
+            for g in self.report.image.occurring():
+                piece = basis.letter_word(g, 0).letters
                 pieces[g + 1] = piece
                 pieces[-g - 1] = invert_letters(piece)
-            self._machinery[key] = hnn, pieces
-        return self._machinery[key]
+        return pieces
 
     def is_trivial(self, word):
         w = word.free_reduce()
@@ -419,8 +425,7 @@ class BrittonEngine(WordProblem):
             return True
         if not _abelian_filter(self.presentation, w):
             return False
-        alphabet = self.presentation.alphabet
-        t = alphabet.index(self.stable)
+        t = self.presentation.alphabet.index(self.stable)
         sums = [0]
         s = 0
         has_other = False
@@ -433,12 +438,10 @@ class BrittonEngine(WordProblem):
         if not has_other:
             return s == 0
         lo, hi = min(sums), max(sums)
-        image = self.report.image
-        span_lo = max(image.min_subscript(alphabet.names[g]) for g in image.occurring())
-        span_hi = min(image.max_subscript(alphabet.names[g]) for g in image.occurring())
-        n = (lo - hi) - span_lo
-        m = max((hi - lo) - span_hi, n + 1)
-        hnn, pieces = self._window(n, m)
+        n = (lo - hi) - self._span_lo
+        m = max((hi - lo) - self._span_hi, n + 1)
+        hnn = self.window(n, m)
+        pieces = self._subscript_zero(n, m)
         basis = hnn.basis.alphabet
         segs = [[]]
         signs = []
@@ -458,6 +461,14 @@ class BrittonEngine(WordProblem):
             signs.append(e)
             segs.append([])
         return not signs and not segs[0]
+
+
+@lru_cache(maxsize=64)
+def britton_engine(presentation, stable):
+    """The Britton engine of a presentation over a stable letter, built
+    once: equal presentations share one engine, and with it every window
+    it has built."""
+    return BrittonEngine(presentation, stable)
 
 
 class FbcGroup(WordProblem):

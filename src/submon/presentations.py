@@ -8,7 +8,9 @@ from submon.words import (
     Alphabet, Word, Presentation, GroupHom, WordError, WordProblem,
 )
 from submon.rewrite import DehnEngine, DehnError
-from submon.magnus import BrittonEngine, MagnusError, substitute_generator
+from submon.magnus import (
+    BrittonEngine, MagnusError, britton_engine, substitute_generator,
+)
 from submon.distortion import dehn_twist_hom
 
 
@@ -324,7 +326,7 @@ def select_engine(presentation):
         pass
     for stable in presentation.alphabet.names:
         try:
-            return BrittonEngine(presentation, stable)
+            return britton_engine(presentation, stable)
         except (MagnusError, WordError):
             continue
     bs = parse_bs_relator(presentation)

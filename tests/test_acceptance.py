@@ -10,12 +10,10 @@ import random
 import time
 
 from submon.words import Alphabet, Word, Presentation
-from submon.automata import (
-    SaturatedAcceptor, benois_member, min_generator_length,
-)
+from submon.automata import SaturatedAcceptor
 from submon.rewrite import DehnEngine, bs_system, critical_pairs_confluent
 from submon.magnus import (
-    magnus_rewrite, max_min_report, interval_presentation,
+    magnus_rewrite, max_min_report, IntervalPresentation,
     BrittonEngine, FbcGroup,
 )
 from submon.distortion import (
@@ -101,7 +99,7 @@ INTERVAL_RELATORS = [
 
 
 def test_c02_interval_presentation_golden():
-    ip = interval_presentation(CHAIN, "t", 0, 2)
+    ip = IntervalPresentation(CHAIN, "t", 0, 2)
     full = ip.full_presentation
     assert full.alphabet.names == (
         "a[0]", "a[1]", "a[2]", "b[0]", "b[1]", "b[2]",
@@ -393,8 +391,7 @@ def test_c06_benois_oracle_equivalence():
     assert len(words6) == 1457
     mismatches = []
     conclusive_count = 0
-    rng = random.Random(6)
-    for idx, ws in enumerate(family):
+    for ws in family:
         gens = [Word(AB, w) for w in ws]
         table, conclusive, depth_complete, lp = _c6_oracle(ws)
         acc = SaturatedAcceptor(AB, gens)
@@ -429,14 +426,6 @@ def test_c06_benois_oracle_equivalence():
                             prod = _mul(prod, ws[i])
                         if prod != w or len(wit) != c_acc:
                             mismatches.append((ws, w, "bad witness", wit))
-        if idx % 37 == 0:
-            # pin the named wrappers on a couple of samples
-            for w in rng.sample(words6, 2):
-                word = Word(AB, w)
-                member, wit = benois_member(AB, gens, word)
-                assert member == (acc.factor_count(word) is not None)
-                assert min_generator_length(AB, gens, word) == \
-                    acc.factor_count(word)
     assert mismatches == [], mismatches[:5]
     assert conclusive_count >= 350
     dt = time.perf_counter() - t0

@@ -10,7 +10,6 @@ import submon
 from submon.words import Alphabet, Word
 from submon.automata import (
     StallingsGraph, SaturatedAcceptor,
-    benois_member, min_generator_length,
     is_code, no_cancellation,
 )
 
@@ -151,12 +150,12 @@ def test_factor_count_prefers_long_generator():
 
 
 def test_module_level_helpers():
-    member, wit = benois_member(AB, [W("ab"), W("A")], W("b"))
-    assert member
+    acc = SaturatedAcceptor(AB, [W("ab"), W("A")])
+    wit = acc.witness(W("b"))
+    assert wit is not None
     check_monoid_witness(AB, [W("ab"), W("A")], W("b"), wit)
-    assert min_generator_length(AB, [W("ab"), W("A")], W("b")) == len(wit)
-    member, wit = benois_member(AB, [W("a")], W("b"))
-    assert not member and wit is None
+    assert acc.factor_count(W("b")) == len(wit)
+    assert SaturatedAcceptor(AB, [W("a")]).witness(W("b")) is None
 
 
 def brute_products(gens, depth):

@@ -15,7 +15,7 @@ from submon.presentations import (
     free_collapses,
 )
 from submon.automata import SaturatedAcceptor
-from submon.magnus import FbcGroup
+from submon.magnus import FbcGroup, britton_engine
 from submon.deciders import (
     DeciderError, reduce_to_dg_instance, decide_surface_submonoid,
     decide_surface_magnus, decide_prefix_surface, decide_bs_magnus,
@@ -337,6 +337,47 @@ def test_dg_instance_shape():
     d = inst.serialize()
     assert d["groups"] == {"W0": ["B"], "W'1": ["Ac"]}
     assert d["generators"][1]["u"] == "c[-1]'"
+
+
+def test_dg_instances_share_the_engine_window():
+    S2 = surface_presentation(2)
+    one = reduce_to_dg_instance(S2, "a", ["b", "b c"], query="b c b")
+    two = reduce_to_dg_instance(S2, "a", ["b c", "b"])
+    assert one.serialize()["window"] == two.serialize()["window"] == [0, 1]
+    assert one.hnn is two.hnn
+    assert one.hnn is britton_engine(S2, "a").window(0, 1)
+
+
+def test_instance_only_on_unknown_verdicts():
+    B = burns_presentation()
+    gens = ["a", "A", "t"]
+    budget = SearchBudget(4, 2000)
+    found = decide_surface_submonoid(B, gens, "at", budget)
+    assert found.is_member and found.witness == ["a", "t"]
+    assert found.methods == ["search"]
+    assert found.instance is None
+    # every generator has nonnegative t-exponent, so T is out of reach
+    missed = decide_surface_submonoid(B, gens, "T", budget)
+    assert missed.is_unknown
+    assert missed.certificate == {"limit": "max_depth"}
+    assert missed.methods[0] == "instance"
+    assert missed.methods[-1] == "semi-decision"
+    direct = reduce_to_dg_instance(B, "t", gens, query="T")
+    assert missed.instance.serialize() == direct.serialize()
+
+
+def test_positivity_and_burns_share_the_ordered_cover():
+    B = burns_presentation()
+    rng = random.Random(5)
+    covered = 0
+    for _ in range(600):
+        w = "".join(rng.choice("aAtT") for _ in range(rng.randint(1, 8)))
+        pos = decide_positivity_fbc(B, w)
+        burns = decide_burns_magnus(["a", "t"], w)
+        assert ((pos.outcome, pos.witness, pos.methods)
+                == (burns.outcome, burns.witness, burns.methods)), w
+        covered += "orbit-dp" in pos.methods
+    assert covered > 100
 
 
 def test_dg_instance_rejections():

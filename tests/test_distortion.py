@@ -404,7 +404,7 @@ def test_free_image_graded_killed_generator():
     assert free_image_graded(pres, collapse, gens) is None
 
 
-def reference_bounded_search(gens, target, budget, engine=None, meet_levels=1):
+def reference_bounded_search(gens, target, budget, engine=None):
     """Reference: the search with a checked `Word` per state, each step a
     full reduction of the concatenation (`Word.__mul__`)."""
     alphabet = target.alphabet
@@ -412,21 +412,15 @@ def reference_bounded_search(gens, target, budget, engine=None, meet_levels=1):
     active = [(i, w) for i, w in enumerate(words) if w]
     target = target.free_reduce()
     meet = {target.letters: []}
-    if meet_levels >= 1:
-        for i, g in active:
-            meet.setdefault((target * ~g).letters, [i])
-    if meet_levels >= 2:
-        for j, h in active:
-            base = target * ~h
-            for i, g in active:
-                meet.setdefault((base * ~g).letters, [i, j])
+    for i, g in active:
+        meet.setdefault((target * ~g).letters, [i])
 
-    states = {(): (None, None, 0)}
+    states = {(): (None, None)}
 
     def path(letters):
         out = []
         while True:
-            parent, gi, _ = states[letters]
+            parent, gi = states[letters]
             if parent is None:
                 return list(reversed(out))
             out.append(gi)
@@ -446,7 +440,7 @@ def reference_bounded_search(gens, target, budget, engine=None, meet_levels=1):
                 q = (pw * g).letters
                 if q in states:
                     continue
-                states[q] = (p, i, depth)
+                states[q] = (p, i)
                 if q in meet:
                     wit = path(q) + meet[q]
                     return SearchResult(True, wit, False, False,
@@ -521,13 +515,11 @@ def test_bounded_search_matches_reference():
             budget = SearchBudget(rng.randint(1, 4),
                                   max_states=rng.choice([50, 400, 5000]),
                                   group_checks=rng.choice([30, 300, 2000]))
-            meet_levels = rng.choice([0, 1, 2])
             engine = select_engine(pres) if rng.random() < 0.8 else None
             runs = []
             for search in (bounded_search, reference_bounded_search):
                 counted = engine and CountingEngine(engine)
-                res = search(gens, target, budget, engine=counted,
-                             meet_levels=meet_levels)
+                res = search(gens, target, budget, engine=counted)
                 runs.append(([getattr(res, f) for f in fields],
                              counted and counted.asked))
             assert runs[0] == runs[1], (name, gens, target)

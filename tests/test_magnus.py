@@ -7,8 +7,8 @@ from submon.words import Alphabet, Word, Presentation
 from submon.rewrite import DehnEngine
 from submon.magnus import (
     MagnusError, magnus_rewrite, max_min_report,
-    interval_presentation, Basis, HnnData,
-    BrittonEngine,
+    IntervalPresentation, Basis, HnnData,
+    BrittonEngine, britton_engine,
     FbcGroup, substitute_generator,
     sub_shift, sub_invert, sub_mul, format_subscripted,
 )
@@ -64,7 +64,7 @@ def test_max_min_report_burns_pair():
 
 
 def test_interval_presentation_golden():
-    ip = interval_presentation(CHAIN, "t", 0, 2)
+    ip = IntervalPresentation(CHAIN, "t", 0, 2)
     assert ip.alphabet.names == (
         "a[0]", "a[1]", "a[2]",
         "b[0]", "b[1]", "b[2]",
@@ -86,7 +86,7 @@ def test_interval_presentation_golden():
 
 
 def test_eliminate_to_basis():
-    ip = interval_presentation(CHAIN, "t", 0, 2)
+    ip = IntervalPresentation(CHAIN, "t", 0, 2)
     basis = Basis(ip, "c")
     assert basis.alphabet.names == (
         "a[0]", "a[1]", "a[2]", "b[0]", "b[1]", "b[2]", "c[0]")
@@ -100,7 +100,7 @@ def test_eliminate_to_basis():
 
 
 def test_hnn_data_edge_subgroups():
-    ip = interval_presentation(CHAIN, "t", 0, 2)
+    ip = IntervalPresentation(CHAIN, "t", 0, 2)
     hnn = HnnData(ip, "c")
     assert hnn.P_graph.rank == 5
     assert hnn.Q_graph.rank == 5
@@ -119,7 +119,7 @@ def test_hnn_data_edge_subgroups():
 
 
 def test_phi_inv_undoes_phi():
-    ip = interval_presentation(CHAIN, "t", 0, 2)
+    ip = IntervalPresentation(CHAIN, "t", 0, 2)
     hnn = HnnData(ip, "c")
     rng = random.Random(13)
     for _ in range(60):
@@ -148,6 +148,65 @@ def test_britton_surface_basics():
     assert eng.is_trivial((w * r * ~w) * (r ** 2))
     assert eng.equal(S2.word("abAB"), S2.word("dcDC"))
     assert BrittonEngine(S2, "a").is_trivial(r)
+
+
+WINDOWED = Presentation.parse("gens: a1 a2 x\nrel: a1 a1 a2 a2 a1' x a1' x\n")
+
+
+def _windowed_words(seed):
+    """Random words of WINDOWED, every other one a product of relator
+    conjugates and so trivial (True) and the rest unknown (None)."""
+    rng = random.Random(seed)
+    alphabet = WINDOWED.alphabet
+    letters = [1, -1, 2, -2, 3, -3]
+    out = []
+    for i in range(40):
+        if i % 2:
+            w = Word(alphabet, ())
+            for _ in range(rng.randint(1, 3)):
+                u = Word(alphabet, [rng.choice(letters)
+                                    for _ in range(rng.randint(0, 4))])
+                r = WINDOWED.relator
+                w = w * u * (r if rng.random() < 0.5 else ~r) * ~u
+            out.append((w, True))
+        else:
+            w = Word(alphabet, [rng.choice(letters)
+                                for _ in range(rng.randint(1, 12))])
+            out.append((w, None))
+    return out
+
+
+@pytest.mark.parametrize("instance_first", [True, False])
+def test_britton_engine_window_without_subscript_zero(instance_first):
+    """The DG instance of this query sits on window [-4, -2], which holds
+    no x[0]; building it must neither break nor be broken by the engine's
+    own pinching over the windows it shares."""
+    from submon.deciders import reduce_to_dg_instance
+
+    def instance():
+        inst = reduce_to_dg_instance(WINDOWED, "a1",
+                                     ["a1", "a2'", "a2", "x' a1"],
+                                     query="a2 a1 a1")
+        assert inst.serialize()["window"] == [-4, -2]
+        assert inst.hnn is britton_engine(WINDOWED, "a1").window(-4, -2)
+
+    def words():
+        cached = britton_engine(WINDOWED, "a1")
+        fresh = BrittonEngine(WINDOWED, "a1")
+        for w, trivial in _windowed_words(17):
+            got = cached.is_trivial(w)
+            assert got == fresh.is_trivial(w), w
+            if trivial:
+                assert got, w
+
+    britton_engine.cache_clear()
+    if instance_first:
+        instance()
+        words()
+    else:
+        words()
+        instance()
+        words()
 
 
 def test_britton_matches_dehn_on_random_words():
