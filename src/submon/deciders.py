@@ -108,13 +108,10 @@ def _certified_search(gens, labels, word, engine, bound=None, budget=None,
 class DgInstance:
     """Membership instance over a subscript window: generators in the form
     stable^j u with u over the window letters, plus the splitting data
-    `hnn`, which also holds the window, its interval presentation and the
-    eliminated generator."""
+    `hnn`, which also holds the presentation, the stable letter, the
+    window, its interval presentation and the eliminated generator."""
 
-    def __init__(self, presentation, stable, hnn, generators, labels,
-                 query=None, inverted=False):
-        self.presentation = presentation
-        self.stable = stable
+    def __init__(self, hnn, generators, labels, query=None, inverted=False):
         self.hnn = hnn
         self.generators = generators
         self.labels = labels
@@ -132,15 +129,13 @@ class DgInstance:
         return out
 
     def serialize(self):
-        ip = self.hnn.ip
-        basis = self.hnn.basis
-        base = self.presentation.alphabet
-        phi = {}
-        for g, s in self.hnn.P_letters:
-            phi[sub_name(base, g, s)] = basis.letter_word(g, s + 1).format()
+        hnn = self.hnn
+        ip, basis = hnn.ip, hnn.basis
+        base = ip.original.alphabet
+        p_gens = [sub_name(base, g, s) for g, s in hnn.P_letters]
         return {
-            "presentation": self.presentation.format(),
-            "stable": self.stable,
+            "presentation": ip.original.format(),
+            "stable": ip.stable,
             "eliminated": basis.gen,
             "window": [ip.n, ip.m],
             "interval": ip.full_presentation.format(),
@@ -149,9 +144,9 @@ class DgInstance:
                 name: basis.expressions[name].format()
                 for name in sorted(basis.expressions)
             },
-            "pGens": [sub_name(base, g, s) for g, s in self.hnn.P_letters],
-            "qGens": [sub_name(base, g, s) for g, s in self.hnn.Q_letters],
-            "phi": phi,
+            "pGens": p_gens,
+            "qGens": [sub_name(base, g, s) for g, s in hnn.Q_letters],
+            "phi": dict(zip(p_gens, (w.format() for w in hnn.Q_words))),
             "generators": [
                 {"j": j, "u": u.format(), "label": label}
                 for (j, u), label in zip(self.generators, self.labels)
@@ -209,9 +204,7 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
     lows = [s - report.stats[names[g]]["min"] for g, s, _ in all_triples]
     highs = [s - report.stats[names[g]]["max"] for g, s, _ in all_triples]
     n = min(lows, default=0)
-    m = max(highs, default=n + 1)
-    if m < n + 1:
-        m = n + 1
+    m = max(highs + [n + 1])
     hnn = engine.window(n, m)
     ip = hnn.ip
     generators = [(j, ip.word_from_triples(ts)) for j, ts in decomps]
@@ -228,8 +221,7 @@ def reduce_to_dg_instance(presentation, stable, gens, query=None):
         if not engine.equal(rebuilt, w):
             raise AssertionError("window decomposition failed to verify")
 
-    return DgInstance(presentation, stable, hnn, generators, labels,
-                      query_pair, inverted)
+    return DgInstance(hnn, generators, labels, query_pair, inverted)
 
 
 def _residual_instance(presentation, stables, gens, word):

@@ -423,7 +423,6 @@ def bounded_search(gens, target, budget, engine=None):
         return SearchResult(True, meet[()], False, False, 1, 0, "search")
     frontier = [()]
     depth = 0
-    complete = True
     while depth < budget.max_depth and frontier:
         depth += 1
         nxt = []
@@ -449,11 +448,11 @@ def bounded_search(gens, target, budget, engine=None):
         for u in states:
             if engine.is_trivial(_trusted(alphabet, join_reduced(u, back))):
                 wit = path(u)
-                return SearchResult(True, wit, complete, False,
+                return SearchResult(True, wit, True, False,
                                     len(states), depth, "search+group-eq")
-        return SearchResult(False, None, complete, True,
+        return SearchResult(False, None, True, True,
                             len(states), depth, "search+group-eq", limit)
     if engine is not None:
         limit = "group_checks"
-    return SearchResult(False, None, complete, False,
+    return SearchResult(False, None, True, False,
                         len(states), depth, "search", limit)

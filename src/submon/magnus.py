@@ -8,14 +8,18 @@ built from:
 * `max_min_report` records, per generator, the extreme subscripts and how
   often they are hit; a generator whose extremes are each hit exactly once
   qualifies, and its top occurrences can be eliminated by Tietze moves.
+  It is built once per presentation and stable letter, and every window,
+  engine and `cli analyze` reads that one report.
 
 * `IntervalPresentation` spells out the subgroup generated by the
-  subscripted letters over a subscript window, together with the shifted
-  relators and the conjugation relations linking neighbours.
+  subscripted letters over a subscript window: one letter per (generator
+  index, subscript) pair, looked up in its `index`, and the shifted
+  relators; the conjugation relations linking neighbours are built only
+  when `full_presentation` is read.
 
 * `Basis` / `HnnData` turn the window group into a free group with an
   explicit basis and the two edge subgroups of the HNN splitting, with the
-  shift isomorphism between them.
+  shift isomorphism between them, all keyed by window letter.
 
 * `BrittonEngine` solves the word problem by Britton pinching over that
   splitting; `FbcGroup` solves it through normal forms t^j u with u in
@@ -30,7 +34,7 @@ Kernel words are handled as tuples of (generator index, subscript, sign)
 triples so subscripts can roam without registering alphabets.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from submon.words import (
     Alphabet, Word, Presentation, GroupHom, WordError, WordProblem,
@@ -172,12 +176,16 @@ class MaxMinReport:
         return f"MaxMinReport(stable={self.stable}, {verdict}, qualifying={self.qualifying})"
 
 
+@lru_cache(maxsize=64)
 def max_min_report(presentation, stable):
+    """The relator report of a presentation over a stable letter, built
+    once: `cli analyze`, every window, `BrittonEngine` and `FbcGroup` read
+    the same object."""
     return MaxMinReport(presentation, stable)
 
 
 def _relator_image(presentation, stable):
-    report = MaxMinReport(presentation, stable)
+    report = max_min_report(presentation, stable)
     if report.sigma != 0:
         raise MagnusError(
             f"stable letter {stable!r} has exponent sum {report.sigma} in the relator")
@@ -201,7 +209,12 @@ def _qualifying_generator(presentation, stable, gen):
 
 
 class IntervalPresentation:
-    """Subscripted letters over a window [n, m] of relator shifts."""
+    """Subscripted letters over a window [n, m] of relator shifts.
+
+    Window letter i + 1 is x[s] for (x, s) = `letters[i]`; `index` maps
+    each (generator index, subscript) pair to its window letter, and the
+    alphabet's names ("x[s]") are only for printing.  `report` is the
+    shared `max_min_report`."""
 
     def __init__(self, presentation, stable, n, m):
         if m < n:
@@ -213,49 +226,49 @@ class IntervalPresentation:
         self.m = m
         self.report = report
         base = presentation.alphabet
-        t = base.index(stable)
-        image = report.image
         # generator index -> (lowest, highest) subscript in the window
         self.spans = {}
         letters = []
-        for g in image.occurring():
-            name = base.names[g]
-            lo = image.min_subscript(name) + n
-            hi = image.max_subscript(name) + m
+        for g in report.image.occurring():
+            stats = report.stats[base.names[g]]
+            lo, hi = stats["min"] + n, stats["max"] + m
             self.spans[g] = (lo, hi)
-            for s in range(lo, hi + 1):
-                letters.append((g, s))
+            letters.extend((g, s) for s in range(lo, hi + 1))
         self.letters = tuple(letters)
+        self.index = {gs: i for i, gs in enumerate(letters, 1)}
         self.alphabet = Alphabet(sub_name(base, g, s) for g, s in letters)
         self.shifted_relators = tuple(
-            self.word_from_triples(sub_shift(image.triples, i))
+            self.word_from_triples(sub_shift(report.image.triples, i))
             for i in range(n, m + 1)
         )
-        full_names = list(self.alphabet.names) + [stable]
-        full_alphabet = Alphabet(full_names)
-        t_full = full_alphabet.letter(stable)
-        relators = []
-        for w in self.shifted_relators:
-            relators.append(Word(full_alphabet, w.letters))
-        for g, s in letters:
+
+    @cached_property
+    def full_presentation(self):
+        """The window group with the stable letter: the shifted relators,
+        then t x[s] t^-1 x[s+1]^-1 for every letter below its span's top."""
+        alphabet = Alphabet(self.alphabet.names + (self.stable,))
+        t = len(alphabet)
+        relators = [Word(alphabet, w.letters) for w in self.shifted_relators]
+        for i, (g, s) in enumerate(self.letters, 1):
             if s < self.spans[g][1]:
-                lo_letter = full_alphabet.letter(sub_name(base, g, s))
-                hi_letter = full_alphabet.letter(sub_name(base, g, s + 1))
-                relators.append(
-                    Word(full_alphabet, (t_full, lo_letter, -t_full, -hi_letter)))
-        self.full_presentation = Presentation(full_alphabet, relators)
+                relators.append(Word(alphabet, (t, i, -t, -(i + 1))))
+        return Presentation(alphabet, relators)
 
     def word_from_triples(self, triples):
-        base = self.original.alphabet
-        out = []
-        for g, s, e in triples:
-            out.append(e * self.alphabet.letter(sub_name(base, g, s)))
-        return Word(self.alphabet, out)
+        try:
+            letters = tuple(e * self.index[g, s] for g, s, e in triples)
+        except KeyError as e:
+            name = sub_name(self.original.alphabet, *e.args[0])
+            raise WordError(f"{name} is outside window [{self.n}, {self.m}]") from None
+        return _trusted(self.alphabet, letters)
 
 
 class Basis:
     """Free basis of the window group after eliminating the top letters of
-    one qualifying generator from each shifted relator."""
+    one qualifying generator from each shifted relator.
+
+    `_images` maps every window letter to its basis word: itself when kept,
+    its solved expression when eliminated (also in `expressions`, by name)."""
 
     def __init__(self, ip, gen):
         stats = ip.report.stats.get(gen)
@@ -263,54 +276,51 @@ class Basis:
             raise MagnusError(f"generator {gen!r} has no unique top occurrence")
         self.ip = ip
         self.gen = gen
-        base = ip.original.alphabet
-        g = base.index(gen)
+        g = ip.original.alphabet.index(gen)
         top = stats["max"]
-        eliminated = {sub_name(base, g, top + i) for i in range(ip.n, ip.m + 1)}
-        self.eliminated_names = eliminated
-        keep = [nm for nm in ip.alphabet.names if nm not in eliminated]
-        self.alphabet = Alphabet(keep)
-        self.expressions = {}
-        for i, rel in enumerate(ip.shifted_relators):
-            target = sub_name(base, g, top + ip.n + i)
-            target_letter = ip.alphabet.letter(target)
-            positions = [j for j, x in enumerate(rel.letters) if abs(x) == abs(target_letter)]
+        eliminated = [ip.index[g, top + i] for i in range(ip.n, ip.m + 1)]
+        keep = [x for x in ip.index.values() if x not in eliminated]
+        self.alphabet = Alphabet(ip.alphabet.names[x - 1] for x in keep)
+        self._images = {x: _trusted(self.alphabet, (i,))
+                        for i, x in enumerate(keep, 1)}
+        for x, rel in zip(eliminated, ip.shifted_relators):
+            positions = [j for j, y in enumerate(rel.letters) if abs(y) == x]
             if len(positions) != 1:
-                raise MagnusError(f"{target} occurs {len(positions)} times in a shifted relator")
+                raise MagnusError(f"{ip.alphabet.names[x - 1]} occurs "
+                                  f"{len(positions)} times in a shifted relator")
             j = positions[0]
-            solved = solve_relator(rel.letters, j, rel.letters[j] > 0,
-                                   invert_letters)
-            self.expressions[target] = self._lower(Word(ip.alphabet, solved))
+            self._images[x] = self._lower(solve_relator(
+                rel.letters, j, rel.letters[j] > 0, invert_letters))
+        self.expressions = {ip.alphabet.names[x - 1]: self._images[x]
+                            for x in eliminated}
 
-    def _lower(self, word):
+    def _lower(self, letters):
         factors = []
-        for x in word.letters:
-            name = word.alphabet.name_of(x)
-            if name in self.expressions:
-                img = self.expressions[name].letters
-            elif name in self.eliminated_names:
-                raise MagnusError(f"{name} eliminated later than its use")
-            else:
-                img = (self.alphabet.letter(name),)
-            factors.append(img if x > 0 else invert_letters(img))
+        for x in letters:
+            img = self._images.get(abs(x))
+            if img is None:
+                raise MagnusError(f"{self.ip.alphabet.name_of(x)} eliminated "
+                                  "later than its use")
+            factors.append(img.letters if x > 0 else invert_letters(img.letters))
         return product(self.alphabet, factors)
 
     def to_basis(self, word):
         """Rewrite a word over the window alphabet into the basis."""
         if word.alphabet != self.ip.alphabet:
             raise MagnusError("word not over the window alphabet")
-        return self._lower(word)
+        return self._lower(word.letters)
 
     def letter_word(self, g, s):
-        name = sub_name(self.ip.original.alphabet, g, s)
-        if name in self.expressions:
-            return self.expressions[name]
-        return Word(self.alphabet, (self.alphabet.letter(name),))
+        return self._images[self.ip.index[g, s]]
 
 
 class HnnData:
     """Edge subgroups of the splitting over a window: P is generated by the
-    letters of the lower sub-window, Q by the upper, and phi shifts up."""
+    letters of the lower sub-window, Q by the upper, and phi shifts up.
+
+    The i-th P generator x[s] and the i-th Q generator x[s+1] are
+    neighbours, so phi sends `P_words[i]` to `Q_words[i]`; all of them are
+    read from the basis through the window's letter index."""
 
     def __init__(self, ip, gen):
         if ip.m < ip.n + 1:
@@ -319,16 +329,25 @@ class HnnData:
         self.basis = Basis(ip, gen)
         self.P_letters = [(g, s) for g, (lo, hi) in ip.spans.items()
                           for s in range(lo, hi)]
-        self.Q_letters = [(g, s) for g, (lo, hi) in ip.spans.items()
-                          for s in range(lo + 1, hi + 1)]
+        self.Q_letters = [(g, s + 1) for g, s in self.P_letters]
         self.P_words = [self.basis.letter_word(g, s) for g, s in self.P_letters]
         self.Q_words = [self.basis.letter_word(g, s) for g, s in self.Q_letters]
         self.P_graph = StallingsGraph(self.basis.alphabet, self.P_words)
         self.Q_graph = StallingsGraph(self.basis.alphabet, self.Q_words)
-        self._P_images = signed_table(
-            [self.basis.letter_word(g, s + 1) for g, s in self.P_letters])
-        self._Q_images = signed_table(
-            [self.basis.letter_word(g, s - 1) for g, s in self.Q_letters])
+        self._P_images = signed_table(self.Q_words)
+        self._Q_images = signed_table(self.P_words)
+
+    @cached_property
+    def pieces(self):
+        """The basis word of every non-stable letter at subscript 0, keyed
+        by signed letter of the presentation.  Only windows that hold
+        subscript 0 have them; Britton's always do."""
+        out = {}
+        for g in self.ip.spans:
+            piece = self.basis.letter_word(g, 0).letters
+            out[g + 1] = piece
+            out[-g - 1] = invert_letters(piece)
+        return out
 
     def _map_witness(self, witness, images):
         return product(self.basis.alphabet, map(images.__getitem__, witness))
@@ -394,7 +413,6 @@ class BrittonEngine(WordProblem):
         self._span_lo = max(st["min"] for st in stats)
         self._span_hi = min(st["max"] for st in stats)
         self._windows = {}
-        self._pieces = {}
 
     def window(self, n, m):
         """The splitting over window [n, m], built on first use and kept:
@@ -404,20 +422,6 @@ class BrittonEngine(WordProblem):
             ip = IntervalPresentation(self.presentation, self.stable, n, m)
             hnn = self._windows[n, m] = HnnData(ip, self.gen)
         return hnn
-
-    def _subscript_zero(self, n, m):
-        """The basis word of every non-stable letter at subscript 0 in
-        window [n, m], keyed by signed letter; a window `is_trivial` picks
-        always holds subscript 0, a DG instance's window need not."""
-        pieces = self._pieces.get((n, m))
-        if pieces is None:
-            basis = self.window(n, m).basis
-            pieces = self._pieces[n, m] = {}
-            for g in self.report.image.occurring():
-                piece = basis.letter_word(g, 0).letters
-                pieces[g + 1] = piece
-                pieces[-g - 1] = invert_letters(piece)
-        return pieces
 
     def is_trivial(self, word):
         w = word.free_reduce()
@@ -438,11 +442,11 @@ class BrittonEngine(WordProblem):
         if not has_other:
             return s == 0
         lo, hi = min(sums), max(sums)
+        # n <= -span_lo and m >= -span_hi: every span holds subscript 0
         n = (lo - hi) - self._span_lo
         m = max((hi - lo) - self._span_hi, n + 1)
         hnn = self.window(n, m)
-        pieces = self._subscript_zero(n, m)
-        basis = hnn.basis.alphabet
+        pieces, basis = hnn.pieces, hnn.basis.alphabet
         segs = [[]]
         signs = []
         for x in w.letters:

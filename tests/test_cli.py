@@ -213,13 +213,16 @@ def test_negative_depth_is_a_usage_error(capsys):
     assert "--depth: must be >= 0" in capsys.readouterr().err
 
 
+def _readme():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        return fh.read()
+
+
 def _readme_session():
     """(argv, expected stdout) for each `$ submon ...` entry of the fenced
     block after "A sample session:" in the README."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path) as fh:
-        text = fh.read()
-    block = text.split("A sample session:", 1)[1].split("```", 2)[1]
+    block = _readme().split("A sample session:", 1)[1].split("```", 2)[1]
     entries = []
     for line in block.strip("\n").splitlines():
         if line.startswith("$ submon "):
@@ -235,6 +238,21 @@ def test_readme_sample_session(capsys):
     for argv, expected in entries:
         main(argv)
         assert capsys.readouterr().out.splitlines() == expected, argv
+
+
+def test_readme_library_example(capsys):
+    """The README's library example runs, and each print shows the line in
+    its comment: on the same line, or alone on the next one."""
+    text = _readme().split("## Library example", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    expected = [
+        (line.partition("#")[2] or lines[i + 1].partition("#")[2]).strip()
+        for i, line in enumerate(lines) if line.startswith("print(")
+    ]
+    assert len(expected) == 3
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize("argv", [

@@ -348,6 +348,82 @@ def test_dg_instances_share_the_engine_window():
     assert one.hnn is britton_engine(S2, "a").window(0, 1)
 
 
+GOLDEN_BURNS_INSTANCE = {
+    "basis": ["a[-1]", "a[0]"],
+    "eliminated": "a",
+    "generators": [
+        {"j": 0, "label": "a", "u": "a[0]"},
+        {"j": 1, "label": "ta", "u": "a[0]"},
+    ],
+    "groups": {"W'1": ["ta"], "W0": ["a"]},
+    "interval": ("gens: a[-1] a[0] a[1] a[2] t\n"
+                 "rel: a[0] a[1]' a[0] a[-1]'\n"
+                 "rel: a[1] a[2]' a[1] a[0]'\n"
+                 "rel: t a[-1] t' a[0]'\n"
+                 "rel: t a[0] t' a[1]'\n"
+                 "rel: t a[1] t' a[2]'\n"),
+    "inverted": False,
+    "pGens": ["a[-1]", "a[0]", "a[1]"],
+    "phi": {
+        "a[-1]": "a[0]",
+        "a[0]": "a[0] a[-1]' a[0]",
+        "a[1]": "a[0] a[-1]' a[0] a[-1]' a[0]",
+    },
+    "presentation": "gens: a t\nrel: t a t a' t' a t' a'\n",
+    "qGens": ["a[0]", "a[1]", "a[2]"],
+    "query": {"j": 1, "u": "a[-1] a[0]"},
+    "stable": "t",
+    "substitutions": {
+        "a[1]": "a[0] a[-1]' a[0]",
+        "a[2]": "a[0] a[-1]' a[0] a[-1]' a[0]",
+    },
+    "window": [-1, 0],
+}
+
+GOLDEN_CHAIN_INSTANCE = {
+    "basis": ["a[0]", "a[1]", "b[0]", "b[1]", "c[0]"],
+    "eliminated": "c",
+    "generators": [
+        {"j": 0, "label": "ab", "u": "a[0] b[0]"},
+        {"j": 1, "label": "tc", "u": "c[0]"},
+    ],
+    "groups": {"W'1": ["tc"], "W0": ["ab"]},
+    "interval": ("gens: a[0] a[1] b[0] b[1] c[0] c[1] c[2] t\n"
+                 "rel: a[0] b[0] a[0]' b[0]' c[0] c[1]'\n"
+                 "rel: a[1] b[1] a[1]' b[1]' c[1] c[2]'\n"
+                 "rel: t a[0] t' a[1]'\n"
+                 "rel: t b[0] t' b[1]'\n"
+                 "rel: t c[0] t' c[1]'\n"
+                 "rel: t c[1] t' c[2]'\n"),
+    "inverted": False,
+    "pGens": ["a[0]", "b[0]", "c[0]", "c[1]"],
+    "phi": {
+        "a[0]": "a[1]",
+        "b[0]": "b[1]",
+        "c[0]": "a[0] b[0] a[0]' b[0]' c[0]",
+        "c[1]": "a[1] b[1] a[1]' b[1]' a[0] b[0] a[0]' b[0]' c[0]",
+    },
+    "presentation": "gens: a b c t\nrel: a b a' b' c t c' t'\n",
+    "qGens": ["a[1]", "b[1]", "c[1]", "c[2]"],
+    "query": {"j": 1, "u": "c[0] a[0] b[0]"},
+    "stable": "t",
+    "substitutions": {
+        "c[1]": "a[0] b[0] a[0]' b[0]' c[0]",
+        "c[2]": "a[1] b[1] a[1]' b[1]' a[0] b[0] a[0]' b[0]' c[0]",
+    },
+    "window": [0, 1],
+}
+
+
+def test_dg_instance_golden_serialization():
+    burns = burns_presentation()
+    chain = Presentation.parse("gens: a b c t\nrel: abABctCT\n")
+    inst = reduce_to_dg_instance(burns, "t", ["a", "t a"], query="a t a")
+    assert inst.serialize() == GOLDEN_BURNS_INSTANCE
+    inst = reduce_to_dg_instance(chain, "t", ["a b", "t c"], query="t c a b")
+    assert inst.serialize() == GOLDEN_CHAIN_INSTANCE
+
+
 def test_instance_only_on_unknown_verdicts():
     B = burns_presentation()
     gens = ["a", "A", "t"]

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from submon.words import Alphabet, Word, Presentation
+from submon.words import Alphabet, Word, Presentation, WordError
 from submon.rewrite import DehnEngine
 from submon.magnus import (
     MagnusError, magnus_rewrite, max_min_report,
@@ -61,6 +61,31 @@ def test_max_min_report_burns_pair():
     rep = max_min_report(BURNS, "a")
     assert not rep.passes
     assert rep.image.format() == "t[0] t[1] t[0]' t[1]'"
+
+
+def test_one_report_per_presentation_and_stable():
+    report = max_min_report(BURNS, "t")
+    engine = britton_engine(BURNS, "t")
+    assert engine.report is report
+    assert FbcGroup(BURNS, "t").report is report
+    assert engine.window(-2, 3).ip.report is report
+    assert IntervalPresentation(BURNS, "t", 0, 1).report is report
+    copy = Presentation.parse("gens: a t\nrel: tatATaTA\n")
+    assert max_min_report(copy, "t") is report
+    assert max_min_report(BURNS, "a") is not report
+
+
+def test_window_letter_index():
+    ip = IntervalPresentation(CHAIN, "t", 0, 2)
+    assert [ip.index[gs] for gs in ip.letters] == list(
+        range(1, len(ip.alphabet) + 1))
+    assert ip.index[2, 3] == ip.alphabet.letter("c[3]")
+    w = ip.word_from_triples(((2, 3, -1), (0, 1, 1)))
+    assert w.format(compact=False) == "c[3]' a[1]"
+    with pytest.raises(WordError, match=r"c\[4\] is outside window \[0, 2\]"):
+        ip.word_from_triples(((0, 0, 1), (2, 4, 1)))
+    with pytest.raises(WordError):
+        ip.word_from_triples(((0, -1, 1),))
 
 
 def test_interval_presentation_golden():

@@ -6,7 +6,9 @@ non-member, and every member witness must multiply back to the query in the
 group.  A non-member proved through a free collapse must carry the image
 that a fresh acceptor rejects; on BS(m, n) the stable-letter exponent map
 onto the integers must settle exactly the queries whose exponent lies
-outside the monoid of the generators' exponents.  The orientable Magnus
+outside the monoid of the generators' exponents, and `decide_bs_magnus`
+must agree with a product search over `BsEngine` wherever that search
+finds a product or certifies a miss.  The orientable Magnus
 decider must agree with the general surface decider on the same
 generating set.  Products of relator prefixes on S2 and S3 are members,
 and their witnesses must multiply back through Britton, an engine the
@@ -16,19 +18,21 @@ the prefix set: the same verdict, with "prefix" leading the methods.
 
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from submon.words import Presentation, Word
 from submon.presentations import (
-    bs_presentation, builtin, select_engine, free_collapses,
+    BsEngine, bs_presentation, builtin, select_engine, free_collapses,
     prefix_generators,
 )
 from submon.automata import SaturatedAcceptor
 from submon.magnus import BrittonEngine
 from submon.deciders import (
-    decide_surface_submonoid, decide_surface_magnus, decide_prefix_surface,
+    decide_bs_magnus, decide_surface_submonoid, decide_surface_magnus,
+    decide_prefix_surface,
 )
-from submon.distortion import SearchBudget
+from submon.distortion import SearchBudget, bounded_search
 
 GROUPS = {
     name: builtin(name)
@@ -40,9 +44,9 @@ BUDGET = SearchBudget(4, 2000, 200)
 
 
 @st.composite
-def spliced_products(draw):
-    name = draw(st.sampled_from(sorted(GROUPS)))
-    pres = GROUPS[name]
+def spliced_products(draw, groups=GROUPS):
+    name = draw(st.sampled_from(sorted(groups)))
+    pres = groups[name]
     k = len(pres.alphabet)
     letter = st.sampled_from([s * i for i in range(1, k + 1) for s in (1, -1)])
     gens = draw(st.lists(st.lists(letter, min_size=1, max_size=3),
@@ -77,6 +81,26 @@ def test_products_are_never_non_members(case):
         for label in verdict.witness:
             prod = prod * table[label]
         assert engine.equal(prod, query), (name, verdict.witness)
+
+
+MORE_BS = {f"BS {m} {n}": bs_presentation(m, n)
+           for m, n in ((1, 2), (-2, 3), (3, -5))}
+
+
+@pytest.mark.parametrize("name", sorted(MORE_BS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_bs_products_are_never_non_members(name, data):
+    pres = MORE_BS[name]
+    _, gens, query = data.draw(spliced_products({name: pres}))
+    verdict = decide_surface_submonoid(pres, gens, query, BUDGET)
+    assert not verdict.is_non_member, (name, gens, query, verdict.certificate)
+    if verdict.is_member:
+        table = {w.format(): w for w in gens}
+        prod = Word(pres.alphabet, ())
+        for label in verdict.witness:
+            prod = prod * table[label]
+        assert select_engine(pres).equal(prod, query), (name, verdict.witness)
 
 
 SURFACES = ("S2", "S3", "N2", "N3")
@@ -178,6 +202,44 @@ def test_bs_stable_exponent_settles_exactly_its_obstructions(case):
         assert cert["image"] == f(query).format()
         acceptor = SaturatedAcceptor(f.target, [f(g) for g in gens])
         assert not acceptor.member(f(query))
+
+
+BS_MAGNUS_PARAMS = ((2, 3), (1, 2), (3, 2), (2, -3), (-2, 3), (1, -2),
+                    (3, -5))
+SEARCH = SearchBudget(6, 20000, 20000)
+
+
+@st.composite
+def bs_letter_queries(draw):
+    """Parameters, a proper subset of the letters a, A, t, T, and a query:
+    a product of up to five of them, inverted or not, with up to two more
+    letters appended."""
+    mn = draw(st.sampled_from(BS_MAGNUS_PARAMS))
+    letters = draw(st.lists(st.sampled_from("aAtT"), min_size=1, max_size=3,
+                            unique=True))
+    query = "".join(draw(st.lists(st.sampled_from(letters), max_size=5)))
+    if draw(st.booleans()):
+        query = query[::-1].swapcase()
+    query += "".join(draw(st.lists(st.sampled_from("aAtT"), max_size=2)))
+    return mn, letters, query or "aA"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1050)
+@given(bs_letter_queries())
+def test_bs_magnus_agrees_with_bounded_search(case):
+    """A product the search finds is never a non-member, and a query the
+    search certifies absent up to six factors never gets a shorter
+    member witness."""
+    mn, letters, query = case
+    verdict = decide_bs_magnus(*mn, letters, query, SEARCH)
+    pres = bs_presentation(*mn)
+    res = bounded_search([pres.word(c) for c in letters], pres.word(query),
+                         SEARCH, engine=BsEngine(*mn, pres.alphabet))
+    if res.found:
+        assert not verdict.is_non_member, (mn, letters, query, res.witness)
+    if res.certified:
+        assert not (verdict.is_member and len(verdict.witness) <= 6), (
+            mn, letters, query, verdict.witness)
 
 
 def test_bs_image_certificate():
