@@ -313,26 +313,21 @@ class SubmonoidDecider:
                     methods=["identity"])
             return Verdict.unknown(methods=["identity"])
 
-        methods = []
+        methods, cert, bound = [], None, None
         if self.psi is not None:
-            val = functional_value(self.psi, word)
+            bound = functional_value(self.psi, word)
             methods.append("functional")
-            cert = {"functional": self.psi, "value": val}
-            if val < 0:
+            cert = {"functional": self.psi, "value": bound}
+            if bound < 0:
                 cert["reason"] = "negative functional value"
                 return Verdict.non_member(cert, methods=methods)
-            if val == 0:
+            if bound == 0:
                 if engine is not None:
                     cert["reason"] = "only the empty product has value 0"
                     return Verdict.non_member(cert, methods=methods)
                 return Verdict.unknown(methods=methods, certificate=cert)
-            return (self._image(word, methods, cert, val)
-                    or _certified_search(gens, labels, word, engine,
-                                         bound=val, budget=budget,
-                                         methods=methods, certificate=cert))
-
-        graded = self.graded
-        if graded is not None:
+        elif self.graded is not None:
+            graded = self.graded
             methods.append("free-image")
             bound = graded.budget.bound(len(w0))
             cert = {
@@ -341,15 +336,13 @@ class SubmonoidDecider:
                 "offset": graded.budget.offset,
                 "stretch": graded.data.get("stretch"),
             }
-            return (self._image(word, methods, cert, bound)
-                    or _certified_search(gens, labels, word, engine,
-                                         bound=bound, budget=budget,
-                                         methods=methods, certificate=cert))
 
-        verdict = (self._image(word, methods)
+        verdict = (self._image(word, methods, cert, bound)
                    or _certified_search(gens, labels, word, engine,
-                                        budget=budget, methods=methods))
-        if verdict.is_unknown and self.presentation.is_one_relator:
+                                        bound=bound, budget=budget,
+                                        methods=methods, certificate=cert))
+        if (cert is None and verdict.is_unknown
+                and self.presentation.is_one_relator):
             verdict.instance = _residual_instance(
                 self.presentation, self.presentation.alphabet.names, gens,
                 word)
@@ -489,79 +482,79 @@ def decide_prefix_surface(g, orientable, word, budget=None):
 _BS_LETTERS = ("a", "A", "t", "T")
 
 
-def _bs_swap(items, pair):
-    lo, hi = pair
-    table = {lo: hi, hi: lo}
-    return [table.get(x, x) for x in items]
-
-
-def _letter_subset(letters):
-    """The generating set as a list of distinct letters from a, A, t, T,
-    a proper nonempty subset."""
-    S = []
+def _letter_subset(presentation, letters):
+    """The generating set as distinct letters from a, A, t, T, a proper
+    nonempty subset: the labels as given, and their signed letters."""
+    labels = []
     for item in letters:
         item = item.strip() if isinstance(item, str) else item
-        if item not in _BS_LETTERS or item in S:
+        if item not in _BS_LETTERS or item in labels:
             raise DeciderError(f"bad letter {item!r}")
-        S.append(item)
-    if not S or len(S) == 4:
+        labels.append(item)
+    if not labels or len(labels) == 4:
         raise DeciderError(
             "the generating set must be a proper nonempty subset of a, A, t, T")
-    return S
+    return labels, [presentation.word(c).letters[0] for c in labels]
+
+
+def _power(x, k):
+    """The letters of x^k."""
+    return [x] * k if k >= 0 else [-x] * -k
+
+
+def _picks(lits, letters):
+    """The positions of the letters in the generating set `lits`, or None
+    when one of them is missing from it."""
+    position = {x: i for i, x in enumerate(lits)}
+    picks = [position.get(x) for x in letters]
+    return None if None in picks else picks
 
 
 def decide_bs_magnus(m, n, letters, word, budget=None):
     """Membership in the submonoid of BS(m, n) generated by a proper subset
-    of the four signed letters."""
+    of the four signed letters, with the witness in the given letters.
+
+    The letters and the word are first carried to 0 < |m| < |n|, n > 0, by
+    the automorphisms BS(m, n) -> BS(n, m), which flips t, and
+    BS(m, n) -> BS(-m, -n), which flips a; the certificate names the flips
+    under "normalized", and normal forms in it are spelled after them."""
     if m == 0 or n == 0 or m == n:
         raise DeciderError(
             f"parameters ({m}, {n}) are outside the decided range")
-    S = _letter_subset(letters)
     pres = bs_presentation(m, n)
+    labels, lits = _letter_subset(pres, letters)
     word = _parse_word(pres, word)
 
     swaps = []
     if abs(m) > abs(n):
         m, n = n, m
-        swaps.append(("t", "T"))
+        swaps.append("tT")
     if (m < 0 and n < 0) or (m > 0 > n):
         m, n = -m, -n
-        swaps.append(("a", "A"))
-    work_S = list(S)
-    work_word = word
-    for pair in swaps:
-        work_S = _bs_swap(work_S, pair)
-        lo, hi = pair
-        i = pres.alphabet.letter(lo)
-        flipped = tuple(-x if abs(x) == i else x for x in work_word.letters)
-        work_word = Word(pres.alphabet, flipped)
-    work_pres = bs_presentation(m, n)
-    engine = BsEngine(m, n, work_pres.alphabet)
+        swaps.append("aA")
+    flip = {pres.alphabet.letter(pair[0]) for pair in swaps}
 
-    def restore(witness):
-        out = list(witness)
-        for pair in reversed(swaps):
-            out = _bs_swap(out, pair)
-        return out
+    def normalize(letters):
+        return [-x if abs(x) in flip else x for x in letters]
 
-    cert_base = {"normalized": {"m": m, "n": n,
-                                "swaps": ["".join(p) for p in swaps]}}
-    verdict = _bs_decide_normalized(work_pres, engine, m, n, work_S,
-                                    work_word, budget, cert_base)
-    if verdict.is_member and verdict.witness:
-        verdict.witness = restore(verdict.witness)
-    return verdict
+    cert_base = {"normalized": {"m": m, "n": n, "swaps": swaps}}
+    return _bs_decide_normalized(
+        bs_presentation(m, n), BsEngine(m, n, pres.alphabet), m, n, labels,
+        normalize(lits), Word(pres.alphabet, normalize(word.letters)), budget,
+        cert_base)
 
 
-def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
+def _bs_decide_normalized(pres, engine, m, n, labels, lits, word, budget,
+                          cert_base):
     w0 = word.free_reduce()
     if not w0 or engine.is_trivial(word):
         return Verdict.member([], methods=["identity"])
-    gens = [_parse_word(pres, s) for s in S]
-    present = set(S)
+    gens = [Word(pres.alphabet, (x,)) for x in lits]
+    a, t = pres.alphabet.letter("a"), pres.alphabet.letter("t")
+    present = set(lits)
 
     if 0 < m < n:
-        allowed = set(S)
+        allowed = {g.format() for g in gens}
         for variant in ("positive", "negative"):
             system = bs_system(m, n, variant)
             try:
@@ -569,13 +562,13 @@ def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
             except ClosureError:
                 continue
             nf = system.normalize(word.format())
-            if not engine.equal(_parse_word(pres, nf) if nf else
-                                Word(pres.alphabet, ()), word):
+            nf_word = pres.word(nf)
+            if not engine.equal(nf_word, word):
                 raise AssertionError("normal form failed to verify")
             methods = ["rewriting", variant]
             if ok:
-                return _verified_member(engine, gens, S,
-                                        [S.index(c) for c in nf], word,
+                return _verified_member(engine, gens, labels,
+                                        _picks(lits, nf_word.letters), word,
                                         methods,
                                         dict(cert_base, normal_form=nf))
             outside = sorted(set(nf) - allowed)
@@ -587,59 +580,49 @@ def _bs_decide_normalized(pres, engine, m, n, S, word, budget, cert_base):
     # mixed signs: m < 0 < n
     p = -m
     methods = ["mixed-pinch"]
-    if {"t", "T"} <= present and ("a" in present or "A" in present):
-        if "a" in present:
-            expansion = {"A": ["a"] * (p - 1) + ["T"] + ["a"] * n + ["t"]}
-        else:
-            expansion = {"a": ["A"] * (p - 1) + ["T"] + ["A"] * n + ["t"]}
-        witness = []
-        for x in w0.letters:
-            c = pres.alphabet.name_of(x) if x > 0 else pres.alphabet.name_of(x).upper()
-            witness.extend(expansion.get(c, [c]))
+    if {t, -t} <= present and (a in present or -a in present):
+        b = a if a in present else -a
+        expansion = {-b: [b] * (p - 1) + [-t] + [b] * n + [t]}
+        witness = [y for x in w0.letters for y in expansion.get(x, [x])]
         cert = dict(cert_base,
                     reason="three of the four letters span the whole group")
-        return _verified_member(engine, gens, S,
-                                [S.index(c) for c in witness], word,
-                                methods + ["whole-group"], cert)
-    if present <= {"a", "A"}:
+        return _verified_member(engine, gens, labels, _picks(lits, witness),
+                                word, methods + ["whole-group"], cert)
+    if present <= {a, -a}:
         k = engine.base_power(word)
         cert = dict(cert_base, base_power=k)
         if k is None:
             cert["reason"] = "not in the base subgroup"
             return Verdict.non_member(cert, methods=methods)
-        good = (k >= 0 and "a" in present) or (k <= 0 and "A" in present) or k == 0
-        if not good:
+        picks = _picks(lits, _power(a, k))
+        if picks is None:
             cert["reason"] = "base power of the wrong sign"
             return Verdict.non_member(cert, methods=methods)
-        witness = ["a"] * k if k >= 0 else ["A"] * -k
-        return _verified_member(engine, gens, S,
-                                [S.index(c) for c in witness], word,
-                                methods, cert)
-    if present <= {"t", "T"}:
-        j = word.exponent_sum("t")
+        return _verified_member(engine, gens, labels, picks, word, methods,
+                                cert)
+    j = word.exponent_sum("t")
+    if present <= {t, -t}:
         cert = dict(cert_base, stable_exponent=j)
-        if not engine.is_trivial(word * _parse_word(pres, "t") ** -j):
+        if not engine.is_trivial(word * Word(pres.alphabet, _power(t, -j))):
             cert["reason"] = "not a stable-letter power"
             return Verdict.non_member(cert, methods=methods)
-        good = (j >= 0 and "t" in present) or (j <= 0 and "T" in present)
-        if not good:
+        picks = _picks(lits, _power(t, j))
+        if picks is None:
             cert["reason"] = "stable power of the wrong sign"
             return Verdict.non_member(cert, methods=methods)
-        witness = ["t"] * j if j >= 0 else ["T"] * -j
-        return _verified_member(engine, gens, S,
-                                [S.index(c) for c in witness], word,
-                                methods, cert)
-    j = word.exponent_sum("t")
-    if "t" in present and "T" not in present and j < 0:
+        return _verified_member(engine, gens, labels, picks, word, methods,
+                                cert)
+    if t in present and -t not in present and j < 0:
         return Verdict.non_member(
             dict(cert_base, reason="negative stable exponent", j=j),
             methods=methods)
-    if "T" in present and "t" not in present and j > 0:
+    if -t in present and t not in present and j > 0:
         return Verdict.non_member(
             dict(cert_base, reason="positive stable exponent", j=j),
             methods=methods)
-    return _certified_search(gens, S, word, engine, bound=None, budget=budget,
-                             methods=methods, certificate=cert_base)
+    return _certified_search(gens, labels, word, engine, bound=None,
+                             budget=budget, methods=methods,
+                             certificate=cert_base)
 
 
 _BURNS = burns_presentation()
@@ -676,7 +659,8 @@ def _tiling_dp(u, factors):
 def _ordered_cover(u, factors, core, stable):
     """The ordered orbit cover of an FBC normal form, as witness letters.
 
-    `factors[k]` is the kernel word of the base letter `core` conjugated k
+    `core` and `stable` are signed letters of the base and stable
+    generators.  `factors[k]` is the kernel word of `core` conjugated k
     steps by the stable letter, for k from 0 to the top exponent.  A cover
     of the kernel word u by factors with k weakly decreasing from the top,
     factor k used c_k times, is the witness
@@ -712,21 +696,21 @@ def _ordered_cover(u, factors, core, stable):
     return witness
 
 
-def decide_burns_magnus(letters, word, budget=None):
-    """Membership in the submonoid of the Burns group generated by a proper
-    subset of the four signed letters."""
-    S = _letter_subset(letters)
-    pres = _BURNS
-    word = _parse_word(pres, word)
-    fbc = _BURNS_FBC
+def _fbc_magnus(fbc, labels, lits, word, budget, cert_base):
+    """The FBC Magnus route: membership in the submonoid of a two-generator
+    FBC group generated by `lits`, signed letters of its base generator
+    `fbc.g` and stable letter `fbc.t` (a proper subset of the four), read
+    off the normal form stable^j u of the word.  Witnesses come back in
+    `labels`; `cert_base` leads every certificate after j and u."""
     w0 = word.free_reduce()
     if not w0 or fbc.is_trivial(word):
         return Verdict.member([], methods=["identity"])
-    gens = [_parse_word(pres, s) for s in S]
-    present = set(S)
+    gens = [Word(fbc.presentation.alphabet, (x,)) for x in lits]
+    a, t = fbc.g + 1, fbc.t + 1
+    present = set(lits)
     j, u = fbc.normal_form(word)
     methods = ["fbc-normal-form"]
-    cert_base = {"j": j, "u": fbc.format(u)}
+    cert_base = {"j": j, "u": fbc.format(u), **cert_base}
 
     def orbit(k):
         return fbc.shift_to_basis(((fbc.g, 0, 1),), k)
@@ -735,29 +719,24 @@ def decide_burns_magnus(letters, word, budget=None):
         return Verdict.non_member(dict(cert_base, reason=reason),
                                   methods=methods)
 
-    if present <= {"a", "A"}:
+    if present <= {a, -a}:
         if j != 0:
             return reject("nonzero stable exponent")
         if any(s != 0 or g != fbc.g for g, s, _ in u):
             return reject("kernel part is not a base power")
-        e = sum(e for _, _, e in u)
-        if e > 0 and "a" not in present:
+        picks = _picks(lits, _power(a, sum(e for _, _, e in u)))
+        if picks is None:
             return reject("base power of the wrong sign")
-        if e < 0 and "A" not in present:
-            return reject("base power of the wrong sign")
-        witness = ["a"] * e if e >= 0 else ["A"] * -e
 
-    elif present <= {"t", "T"}:
+    elif present <= {t, -t}:
         if u:
             return reject("nontrivial kernel part")
-        if j > 0 and "t" not in present:
+        picks = _picks(lits, _power(t, j))
+        if picks is None:
             return reject("stable power of the wrong sign")
-        if j < 0 and "T" not in present:
-            return reject("stable power of the wrong sign")
-        witness = ["t"] * j if j >= 0 else ["T"] * -j
 
-    elif present == {"t", "T"} | {"a"} or present == {"t", "T"} | {"A"}:
-        inverse = "A" in present
+    elif {t, -t} <= present:
+        inverse = -a in present
         factors = {}
         for direction in (1, -1):
             k = 0 if direction == 1 else -1
@@ -773,41 +752,55 @@ def decide_burns_magnus(letters, word, budget=None):
         tile = _tiling_dp(u, factors)
         if tile is None:
             return reject("kernel part is not a product of orbit conjugates")
-        witness = ["t"] * j if j >= 0 else ["T"] * -j
-        core = "A" if inverse else "a"
+        core = -a if inverse else a
+        witness = _power(t, j)
         for k in tile:
-            if k >= 0:
-                witness.extend(["t"] * k + [core] + ["T"] * k)
-            else:
-                witness.extend(["T"] * -k + [core] + ["t"] * -k)
+            witness += _power(t, k) + [core] + _power(t, -k)
+        picks = _picks(lits, witness)
 
     else:
-        down = "t" in present
+        down = t in present
         if down and j < 0:
             return reject("negative stable exponent")
         if not down and j > 0:
             return reject("positive stable exponent")
-        if {"a", "A"} <= present:
+        if {a, -a} <= present:
             # three letters with both base signs: quick sign filter, then
             # search
-            return _certified_search(gens, S, word, fbc, bound=None,
+            return _certified_search(gens, labels, word, fbc, bound=None,
                                      budget=budget,
                                      methods=methods + ["mixed-signs"],
                                      certificate=cert_base)
         # one base letter and one stable letter
-        inverse = "A" in present
+        inverse = -a in present
         sign = -1 if down else 1
         factors = [orbit(sign * k) for k in range(abs(j) + 1)]
         if inverse:
             factors = [sub_invert(fw) for fw in factors]
+        # the cover is exact only when every factor is nonempty and no last
+        # letter cancels a first letter; otherwise search
+        if not all(factors) or {fw[-1] for fw in factors} & {
+                (g, s, -e) for g, s, e in (fw[0] for fw in factors)}:
+            return _certified_search(gens, labels, word, fbc, budget=budget,
+                                     methods=methods, certificate=cert_base)
         methods.append("orbit-dp")
-        witness = _ordered_cover(u, factors, "A" if inverse else "a",
-                                 "t" if down else "T")
+        witness = _ordered_cover(u, factors, -a if inverse else a,
+                                 t if down else -t)
         if witness is None:
             return reject("ordered orbit tiling exhausted")
+        picks = _picks(lits, witness)
 
-    return _verified_member(fbc, gens, S, [S.index(c) for c in witness], word,
-                            methods, dict(cert_base))
+    return _verified_member(fbc, gens, labels, picks, word, methods,
+                            dict(cert_base))
+
+
+def decide_burns_magnus(letters, word, budget=None):
+    """Membership in the submonoid of the Burns group generated by a proper
+    subset of the four signed letters, through the FBC Magnus route, with
+    the witness in the given letters."""
+    labels, lits = _letter_subset(_BURNS, letters)
+    return _fbc_magnus(_BURNS_FBC, labels, lits, _parse_word(_BURNS, word),
+                       budget, {})
 
 
 def orbit_membership(theta, theta_inv, seeds, word, budget=None):
@@ -898,35 +891,11 @@ def decide_positivity_fbc(presentation, word, budget=None):
             "no stable letter with unique extreme subscripts for the other "
             "generator")
     word = _parse_word(presentation, word)
-    gens = [_parse_word(presentation, base), _parse_word(presentation, stable)]
     labels = [base, stable]
-    w0 = word.free_reduce()
-    if not w0 or fbc.is_trivial(word):
-        return Verdict.member([], methods=["identity"])
-    j, u = fbc.normal_form(word)
-    methods = ["fbc-normal-form"]
-    cert = {"j": j, "u": fbc.format(u), "stable": stable}
-    if j < 0:
-        cert["reason"] = "negative stable exponent"
-        return Verdict.non_member(cert, methods=methods)
-
-    factors = [fbc.shift_to_basis(((fbc.g, 0, 1),), -k) for k in range(j + 1)]
-    # every factor nonempty, and no last letter cancels a first letter
-    if all(factors) and not {fw[-1] for fw in factors} & {
-            (g, s, -e) for g, s, e in (fw[0] for fw in factors)}:
-        methods.append("orbit-dp")
-        witness = _ordered_cover(u, factors, base, stable)
-        if witness is None:
-            cert["reason"] = "ordered orbit tiling exhausted"
-            return Verdict.non_member(cert, methods=methods)
-        return _verified_member(fbc, gens, labels,
-                                [labels.index(c) for c in witness], word,
-                                methods, cert)
-
-    verdict = _certified_search(gens, labels, word, fbc, budget=budget,
-                                methods=methods, certificate=cert)
+    lits = [presentation.alphabet.letter(c) for c in labels]
+    verdict = _fbc_magnus(fbc, labels, lits, word, budget, {"stable": stable})
     if verdict.is_unknown:
-        verdict.instance = _residual_instance(presentation, [stable], gens,
+        verdict.instance = _residual_instance(presentation, [stable], labels,
                                               word)
     return verdict
 
