@@ -433,6 +433,8 @@ def _nonorientable_magnus(pres, gens, lits, labels, word, budget,
             pick = i
             break
     if pick is None:
+        if signed == {lits[0], -lits[0]}:
+            return _cyclic_magnus(pres, engine, gens, lits, labels, word)
         if flipped:
             return Verdict.unknown(
                 methods=["magnus"],
@@ -460,6 +462,26 @@ def _nonorientable_magnus(pres, gens, lits, labels, word, budget,
                                        budget, labels=labels)
     verdict.methods.insert(0, "substitution")
     return verdict
+
+
+def _cyclic_magnus(pres, engine, gens, lits, labels, word):
+    """Membership in Mon<x, x^-1> = <x> on N_g, g >= 2, decided exactly.
+    x has infinite order in H_1 (x) Q = Q^g / <(1, ..., 1)>, so w = x^e
+    forces every other exponent sum of w to one value c and e = v_x - c;
+    the engine then compares w with that one power."""
+    x = abs(lits[0])
+    names = pres.alphabet.names
+    image = {nm: word.exponent_sum(nm) for nm in names}
+    others = {image[nm] for nm in names if nm != names[x - 1]}
+    e = image[names[x - 1]] - min(others) if len(others) == 1 else None
+    power = _power(x, e or 0)
+    if e is not None and engine.equal(Word(pres.alphabet, power), word):
+        return _verified_member(engine, gens, labels, _picks(lits, power),
+                                word, ["cyclic"], {"exponent": e})
+    return Verdict.non_member(
+        {"image": image, "exponent": e,
+         "reason": "no power of the generator equals the word"},
+        methods=["cyclic"])
 
 
 @lru_cache(maxsize=None)

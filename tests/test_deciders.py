@@ -507,6 +507,23 @@ def test_surface_magnus_nonorientable():
     check_witness(N3, g4, v.witness, "a3' a1'")
 
 
+def test_surface_magnus_inversion_closed_rank_one():
+    # Mon<x, x'> is <x>: the exponent sums pick the one candidate power
+    v = decide_surface_magnus(2, False, ["d", "d'"], "c c d d d d")
+    assert v.is_member and v.witness == ["d", "d"]
+    assert v.methods == ["cyclic"] and v.certificate == {"exponent": 2}
+    v = decide_surface_magnus(3, False, ["a1", "a1'"], "a2 a2 a3 a3")
+    assert v.is_member and v.witness == ["a1'", "a1'"]
+    v = decide_surface_magnus(3, False, ["a2", "a2'"], "a1 a1")
+    assert v.is_non_member and v.methods == ["cyclic"]
+    assert v.certificate == {
+        "image": {"a1": 2, "a2": 0, "a3": 0}, "exponent": None,
+        "reason": "no power of the generator equals the word"}
+    # the abelian image fits a1', but the group says otherwise
+    v = decide_surface_magnus(3, False, ["a1", "a1'"], "a2 a3")
+    assert v.is_non_member and v.certificate["exponent"] == -1
+
+
 def test_positivity_fbc():
     B = burns_presentation()
     table = [
@@ -528,6 +545,73 @@ def test_positivity_fbc():
         decide_positivity_fbc(bs_presentation(2, 3), "a")
     with pytest.raises(DeciderError):
         decide_positivity_fbc(surface_presentation(2), "a")
+
+
+GOLDEN_POSITIVITY_INSTANCE = {
+    "presentation": "gens: a t\nrel: t a t' a' t' a' t\n",
+    "stable": "t",
+    "eliminated": "a",
+    "window": [-1, 0],
+    "interval": ("gens: a[-2] a[-1] a[0] a[1] t\n"
+                 "rel: a[0] a[-1]' a[-2]'\n"
+                 "rel: a[1] a[0]' a[-1]'\n"
+                 "rel: t a[-2] t' a[-1]'\n"
+                 "rel: t a[-1] t' a[0]'\n"
+                 "rel: t a[0] t' a[1]'\n"),
+    "basis": ["a[-2]", "a[-1]"],
+    "substitutions": {"a[0]": "a[-2] a[-1]", "a[1]": "a[-1] a[-2] a[-1]"},
+    "pGens": ["a[-2]", "a[-1]", "a[0]"],
+    "qGens": ["a[-1]", "a[0]", "a[1]"],
+    "phi": {"a[-2]": "a[-1]", "a[-1]": "a[-2] a[-1]",
+            "a[0]": "a[-1] a[-2] a[-1]"},
+    "generators": [{"j": 0, "u": "a[0]", "label": "a"},
+                   {"j": 1, "u": "", "label": "t"}],
+    "query": {"j": 2, "u": "a[-2]' a[-2]' a[0]"},
+    "inverted": False,
+    "groups": {"W0": ["a"], "W'1": ["t"]},
+}
+
+
+def test_positivity_fbc_golden():
+    """Positivity on two FBC groups other than Burns.  On <a, t | taTATAt>
+    the orbit factors cancel at a seam, so the ordered cover is not exact
+    and the certified search decides; <a, t | ATaatATT> has stable letter
+    a, and the witness comes back in the generator names."""
+    def run(relator, word):
+        pres = Presentation.parse(f"gens: a t\nrel: {relator}\n")
+        return decide_positivity_fbc(pres, word).to_dict()
+
+    assert run("taTATAt", "ttAtAata") == {
+        "verdict": "member",
+        "method": ["fbc-normal-form", "search+group-eq"],
+        "witness": ["t", "t", "t", "a", "t"],
+        "certificate": {"j": 4, "u": "a[-1]", "stable": "t"},
+        "bound": 8}
+    assert run("taTATAt", "tTAAtta") == {
+        "verdict": "unknown",
+        "method": ["fbc-normal-form", "search+group-eq", "semi-decision"],
+        "witness": None,
+        "certificate": {"j": 2, "u": "a[-1] a[0]' a[-1]", "stable": "t",
+                        "limit": "max_depth"},
+        "bound": 8,
+        "instance": GOLDEN_POSITIVITY_INSTANCE}
+    assert run("taTATAt", "aata") == {
+        "verdict": "member", "method": ["fbc-normal-form", "orbit-dp"],
+        "witness": ["a", "a", "t", "a"],
+        "certificate": {"j": 1, "u": "a[-1] a[-1] a[0]", "stable": "t"},
+        "bound": None}
+    assert run("ATaatATT", "aata") == {
+        "verdict": "member", "method": ["fbc-normal-form", "search"],
+        "witness": ["a", "a", "t", "a"],
+        "certificate": {"j": 3, "u": "t[-1]", "stable": "a"},
+        "bound": 8}
+    assert run("ATaatATT", "ttAtAata") == {
+        "verdict": "non-member", "method": ["fbc-normal-form", "orbit-dp"],
+        "witness": None,
+        "certificate": {"j": 0, "u": "t[0] t[0] t[-1] t[-1]",
+                        "stable": "a",
+                        "reason": "ordered orbit tiling exhausted"},
+        "bound": None}
 
 
 def test_positivity_fbc_random():

@@ -10,7 +10,9 @@ outside the monoid of the generators' exponents, and `decide_bs_magnus`
 must agree with a product search over `BsEngine` wherever that search
 finds a product or certifies a miss.  The orientable Magnus
 decider must agree with the general surface decider on the same
-generating set.  Products of relator prefixes on S2 and S3 are members,
+generating set, and the non-orientable one on a set {x, x^-1} must agree
+with a product search wherever that search finds a product or certifies a
+miss.  Products of relator prefixes on S2 and S3 are members,
 and their witnesses must multiply back through Britton, an engine the
 prefix decider does not use.  The prefix decider is the general decider on
 the prefix set: the same verdict, with "prefix" leading the methods.
@@ -362,3 +364,50 @@ def test_prefix_decider_is_the_general_decider(case):
     assert prefix.witness == general.witness
     assert prefix.certificate == general.certificate
     assert prefix.bound == general.bound
+
+
+NONORIENTABLE = {g: builtin(f"N{g}") for g in (2, 3, 4)}
+CYCLIC_SEARCH = SearchBudget(8, 2000, 2000)
+
+
+@st.composite
+def cyclic_queries(draw):
+    """A generator x of N2, N3 or N4, and a query for Mon<x, x^-1>: a power
+    of x with a conjugated relator rotation spliced in, or a short word."""
+    g = draw(st.sampled_from(sorted(NONORIENTABLE)))
+    pres = NONORIENTABLE[g]
+    x = draw(st.integers(1, g))
+    letter = signed_letter(g)
+    spliced = draw(st.booleans())
+    if spliced:
+        e = draw(st.integers(-4, 4))
+        query = [x if e > 0 else -x] * abs(e)
+        rel = pres.relator.letters
+        turn = draw(st.integers(0, len(rel) - 1))
+        conj = tuple(draw(st.lists(letter, max_size=2)))
+        at = draw(st.integers(0, len(query)))
+        query[at:at] = (conj + rel[turn:] + rel[:turn]
+                        + tuple(-y for y in reversed(conj)))
+    else:
+        query = draw(st.lists(letter, min_size=1, max_size=6))
+    return g, x, Word(pres.alphabet, tuple(query)), spliced
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cyclic_queries())
+def test_inversion_closed_rank_one_agrees_with_bounded_search(case):
+    """A spliced power of x and a product the search finds are never
+    non-members, and a query the search certifies absent up to eight
+    factors never gets a shorter member witness."""
+    g, x, query, spliced = case
+    pres = NONORIENTABLE[g]
+    gens = [Word(pres.alphabet, (x,)), Word(pres.alphabet, (-x,))]
+    verdict = decide_surface_magnus(g, False, gens, query, BUDGET)
+    assert not (spliced and verdict.is_non_member), (g, x, query)
+    res = bounded_search(gens, query, CYCLIC_SEARCH,
+                         engine=select_engine(pres))
+    if res.found:
+        assert not verdict.is_non_member, (g, x, query, res.witness)
+    if res.certified:
+        assert not (verdict.is_member and len(verdict.witness) <= 8), (
+            g, x, query, verdict.witness)
