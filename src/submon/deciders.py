@@ -22,6 +22,12 @@ what depends on the set alone (engine, acceptors, factor bounds) across
 queries.  `decide_surface_submonoid` asks a fresh one; the prefix monoid of
 each surface group has one for good (`prefix_decider`), so prefix queries
 run the same routes, with "prefix" leading the methods.
+
+The Magnus deciders take a generating set of signed generators and work on
+signed-integer letters, as `Word` does; their witnesses come back in the
+letters the caller gave.  Burns and positivity share one FBC Magnus route
+(`_fbc_magnus`): the positive monoid of a two-generator FBC group is the
+Magnus submonoid generated by its base and stable letters.
 """
 
 from functools import cached_property, lru_cache
@@ -896,7 +902,9 @@ def orbit_membership(theta, theta_inv, seeds, word, budget=None):
 def decide_positivity_fbc(presentation, word, budget=None):
     """Membership in the monoid of positive words of a two-generator
     one-relator group whose relator has zero exponent sum in one generator
-    and unique extreme subscripts."""
+    and unique extreme subscripts: the FBC Magnus route for the set
+    {base, stable}, with the witness in the generator names.  An unknown
+    carries the DG instance over the stable letter."""
     if len(presentation.alphabet) != 2 or not presentation.is_one_relator:
         raise DeciderError("needs a two-generator one-relator presentation")
     names = presentation.alphabet.names

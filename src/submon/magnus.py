@@ -390,7 +390,8 @@ class BrittonEngine(WordProblem):
 
     Requires a stable letter with zero relator exponent sum, every other
     generator occurring in the relator, and a qualifying generator in the
-    max_min_report.  Splittings are built once per window (`window`).
+    max_min_report.  Splittings are built per window, and the 64 most
+    recently used are kept (`window`).
 
     `is_trivial` is one left-to-right pass over a stack of stable letters,
     each with the freely reduced basis segment that follows it, above the
@@ -412,16 +413,14 @@ class BrittonEngine(WordProblem):
         stats = self.report.stats.values()
         self._span_lo = max(st["min"] for st in stats)
         self._span_hi = min(st["max"] for st in stats)
-        self._windows = {}
+        self.window = lru_cache(maxsize=64)(self._split)
 
-    def window(self, n, m):
-        """The splitting over window [n, m], built on first use and kept:
-        pinching and every DG instance over the same window share it."""
-        hnn = self._windows.get((n, m))
-        if hnn is None:
-            ip = IntervalPresentation(self.presentation, self.stable, n, m)
-            hnn = self._windows[n, m] = HnnData(ip, self.gen)
-        return hnn
+    def _split(self, n, m):
+        """The splitting over window [n, m].  `window` keeps the 64 most
+        recently used per engine: pinching and every DG instance over the
+        same window share one."""
+        ip = IntervalPresentation(self.presentation, self.stable, n, m)
+        return HnnData(ip, self.gen)
 
     def is_trivial(self, word):
         w = word.free_reduce()
