@@ -480,10 +480,11 @@ def _cyclic_magnus(pres, engine, gens, lits, labels, word):
     image = {nm: word.exponent_sum(nm) for nm in names}
     others = {image[nm] for nm in names if nm != names[x - 1]}
     e = image[names[x - 1]] - min(others) if len(others) == 1 else None
-    power = _power(x, e or 0)
-    if e is not None and engine.equal(Word(pres.alphabet, power), word):
-        return _verified_member(engine, gens, labels, _picks(lits, power),
-                                word, ["cyclic"], {"exponent": e})
+    if e is not None:
+        power = _power(x, e)
+        if engine.equal(Word(pres.alphabet, power), word):
+            return _verified_member(engine, gens, labels, _picks(lits, power),
+                                    word, ["cyclic"], {"exponent": e})
     return Verdict.non_member(
         {"image": image, "exponent": e,
          "reason": "no power of the generator equals the word"},
@@ -567,13 +568,13 @@ def decide_bs_magnus(m, n, letters, word, budget=None):
 
     cert_base = {"normalized": {"m": m, "n": n, "swaps": swaps}}
     return _bs_decide_normalized(
-        bs_presentation(m, n), BsEngine(m, n, pres.alphabet), m, n, labels,
-        normalize(lits), Word(pres.alphabet, normalize(word.letters)), budget,
-        cert_base)
+        m, n, labels, normalize(lits),
+        Word(pres.alphabet, normalize(word.letters)), budget, cert_base)
 
 
-def _bs_decide_normalized(pres, engine, m, n, labels, lits, word, budget,
-                          cert_base):
+def _bs_decide_normalized(m, n, labels, lits, word, budget, cert_base):
+    pres = bs_presentation(m, n)
+    engine = BsEngine(m, n, pres.alphabet)
     w0 = word.free_reduce()
     if not w0 or engine.is_trivial(word):
         return Verdict.member([], methods=["identity"])
@@ -736,6 +737,7 @@ def _fbc_magnus(fbc, labels, lits, word, budget, cert_base):
     gens = [Word(fbc.presentation.alphabet, (x,)) for x in lits]
     a, t = fbc.g + 1, fbc.t + 1
     present = set(lits)
+    inverse = -a in present
     j, u = fbc.normal_form(word)
     methods = ["fbc-normal-form"]
     cert_base = {"j": j, "u": fbc.format(u), **cert_base}
@@ -764,7 +766,6 @@ def _fbc_magnus(fbc, labels, lits, word, budget, cert_base):
             return reject("stable power of the wrong sign")
 
     elif {t, -t} <= present:
-        inverse = -a in present
         factors = {}
         for direction in (1, -1):
             k = 0 if direction == 1 else -1
@@ -800,7 +801,6 @@ def _fbc_magnus(fbc, labels, lits, word, budget, cert_base):
                                      methods=methods + ["mixed-signs"],
                                      certificate=cert_base)
         # one base letter and one stable letter
-        inverse = -a in present
         sign = -1 if down else 1
         factors = [orbit(sign * k) for k in range(abs(j) + 1)]
         if inverse:
