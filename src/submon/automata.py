@@ -116,12 +116,8 @@ class StallingsGraph:
             labels.extend(label)
         return state, labels
 
-    def trace(self, word):
-        """Follow the reduced word from the base; None if a step is missing."""
-        return self._read(word)[0]
-
     def contains(self, word):
-        return self.trace(word) == BASE
+        return self._read(word)[0] == BASE
 
     def witness(self, word):
         """Express word as a product of generators and inverses.

@@ -23,19 +23,22 @@ queries.  `decide_surface_submonoid` asks a fresh one; the prefix monoid of
 each surface group has one for good (`prefix_decider`), so prefix queries
 run the same routes, with "prefix" leading the methods.
 
-The Magnus deciders take a generating set of signed generators and work on
+The Magnus deciders take a nonempty proper subset of the signed generators,
+in any spelling `Word.parse` takes (`_magnus_set`), and work on
 signed-integer letters, as `Word` does; their witnesses come back in the
-letters the caller gave.  Burns and positivity share one FBC Magnus route
-(`_fbc_magnus`): the positive monoid of a two-generator FBC group is the
-Magnus submonoid generated by its base and stable letters.
+letters the caller gave.  Surface Magnus sets take the general decider, on
+N_g after three exact routes (identity, "whole-group", "cyclic").  Burns
+and positivity share one FBC Magnus route (`_fbc_magnus`): the positive
+monoid of a two-generator FBC group is the Magnus submonoid generated by
+its base and stable letters.
 """
 
 from functools import cached_property, lru_cache
 from math import gcd
 
 from submon.words import (
-    Alphabet, Word, Presentation, GroupHom, invert_letters, product,
-    solve_relator,
+    Alphabet, Word, Presentation, GroupHom, WordError, invert_letters,
+    product, solve_relator,
 )
 from submon.magnus import (
     MagnusError, magnus_rewrite, britton_engine, FbcGroup, sub_name,
@@ -257,9 +260,9 @@ class SubmonoidDecider:
     graded free image (complete when the composed bound fits the budget),
     bounded search (member or unknown).  On surface groups and BS(m, n)
     each route runs the image route first and searches only when no
-    collapse settles the query.  An unknown from the last route carries the
-    DG instance of the residual problem, built only then, with "instance"
-    leading its methods.
+    collapse settles the query.  An unknown that no factor bound covered
+    carries the DG instance of the residual problem (`residual_instance`),
+    built only then, with "instance" leading its methods.
     """
 
     def __init__(self, presentation, gens, labels=None, engine=None):
@@ -347,14 +350,20 @@ class SubmonoidDecider:
                    or _certified_search(gens, labels, word, engine,
                                         bound=bound, budget=budget,
                                         methods=methods, certificate=cert))
-        if (cert is None and verdict.is_unknown
-                and self.presentation.is_one_relator):
-            verdict.instance = _residual_instance(
-                self.presentation, self.presentation.alphabet.names, gens,
-                word)
+        if cert is None and verdict.is_unknown:
+            verdict.instance = self.residual_instance(word)
             if verdict.instance is not None:
                 verdict.methods.insert(0, "instance")
         return verdict
+
+    def residual_instance(self, word):
+        """The DG instance of the query over the first generator of a
+        one-relator presentation that admits one, or None."""
+        if not self.presentation.is_one_relator:
+            return None
+        return _residual_instance(self.presentation,
+                                  self.presentation.alphabet.names, self.gens,
+                                  word)
 
 
 def decide_surface_submonoid(presentation, gens, word, budget=None,
@@ -365,33 +374,60 @@ def decide_surface_submonoid(presentation, gens, word, budget=None,
         word, budget)
 
 
-def _single_letters(presentation, items):
-    words = _parse_words(presentation, items)
-    letters = []
-    for w in words:
+def _magnus_set(presentation, items):
+    """A Magnus generating set: distinct signed generators, each given in
+    any spelling `Word.parse` takes or as a word, together a nonempty proper
+    subset of the signed generators.  Returns the words, their signed
+    letters and their labels."""
+    try:
+        gens = _parse_words(presentation, items)
+    except WordError as e:
+        raise DeciderError(str(e)) from None
+    lits = []
+    for w in gens:
         r = w.free_reduce()
         if len(r) != 1:
             raise DeciderError(f"{w.format()!r} is not a signed generator")
-        letters.append(r.letters[0])
-    return words, letters
+        if r.letters[0] in lits:
+            raise DeciderError(f"{w.format()!r} occurs twice")
+        lits.append(r.letters[0])
+    if not lits or len(lits) == 2 * len(presentation.alphabet):
+        raise DeciderError("the generating set must be a proper nonempty "
+                           "subset of the signed generators")
+    return gens, lits, [w.format() for w in gens]
 
 
 def decide_surface_magnus(g, orientable, letters, word, budget=None):
-    """Membership for submonoids generated by signed generators of a
-    surface group, under the condition that some generator is missing a
-    sign from the set."""
+    """Membership in the submonoid of a surface group generated by a
+    nonempty proper subset of its signed generators, with the witness in
+    the given letters.
+
+    S_g sets take the general decider.  On N_g three exact routes come
+    first: the identity, "whole-group" (every generator with one sign spans
+    the group) and "cyclic" (the letters of one generator, decided from the
+    exponent sums); every other N_g set takes the general decider too, with
+    the DG instance of an unknown built after a change of generators
+    (`_NonorientableMagnus`)."""
     pres = surface_presentation(g) if orientable else nonorientable_presentation(g)
-    gens, lits = _single_letters(pres, letters)
+    gens, lits, labels = _magnus_set(pres, letters)
     word = _parse_word(pres, word)
-    labels = [w.format() for w in gens]
-    signed = set(lits)
-    k = len(pres.alphabet)
     if orientable:
-        if all(i in signed and -i in signed for i in range(1, k + 1)):
-            raise DeciderError("every generator occurs with both signs")
         return decide_surface_submonoid(pres, gens, word, budget,
                                         labels=labels)
-    return _nonorientable_magnus(pres, gens, lits, labels, word, budget)
+    engine = select_engine(pres)
+    if not word.free_reduce() or engine.is_trivial(word):
+        return Verdict.member([], methods=["identity"])
+    signed = set(lits)
+    for sign in (1, -1):
+        if all(sign * i in signed for i in range(1, g + 1)):
+            picks = _whole_group_witness(pres, lits, word, sign > 0)
+            cert = {"reason": "all generators present with one sign",
+                    "sign": "+" if sign > 0 else "-"}
+            return _verified_member(engine, gens, labels, picks, word,
+                                    ["whole-group"], cert)
+    if len({abs(x) for x in lits}) == 1:
+        return _cyclic_magnus(pres, engine, gens, lits, labels, word)
+    return _NonorientableMagnus(pres, gens, labels).decide(word, budget)
 
 
 def _whole_group_witness(pres, lits, word, positive):
@@ -417,64 +453,42 @@ def _whole_group_witness(pres, lits, word, positive):
     return out
 
 
-def _nonorientable_magnus(pres, gens, lits, labels, word, budget,
-                          flipped=False):
-    k = len(pres.alphabet)
-    signed = set(lits)
-    engine = select_engine(pres)
-    w0 = word.free_reduce()
-    if not w0 or engine.is_trivial(word):
-        return Verdict.member([], methods=["identity"])
-    for positive in (True, False):
-        want = range(1, k + 1) if positive else range(-k, 0)
-        if all(i in signed for i in want):
-            picks = _whole_group_witness(pres, lits, word, positive)
-            cert = {"reason": "all generators present with one sign",
-                    "sign": "+" if positive else "-"}
-            return _verified_member(engine, gens, labels, picks, word,
-                                    ["whole-group"], cert)
-    pick = None
-    for i in range(1, k + 1):
-        if i in signed and -i not in signed:
-            pick = i
-            break
-    if pick is None:
-        if signed == {lits[0], -lits[0]}:
-            return _cyclic_magnus(pres, engine, gens, lits, labels, word)
-        if flipped:
-            return Verdict.unknown(
-                methods=["magnus"],
-                certificate={"reason": "inversion-closed generating set; "
-                                       "subgroup membership is out of scope"})
-        inv_gens = [~w for w in gens]
-        inv_lits = [-x for x in lits]
-        verdict = _nonorientable_magnus(pres, inv_gens, inv_lits, labels,
-                                        ~word, budget, flipped=True)
-        if verdict.is_member:
-            verdict.witness.reverse()
-        return verdict
-    other = None
-    for j in range(1, k + 1):
-        if j != pick and j not in signed:
-            other = j
-            break
-    assert other is not None, "all-positive sets are whole-group"
-    names = pres.alphabet.names
-    fresh = next(nm for nm in ("x", "y", "z") if nm not in names)
-    new_pres, forward = substitute_generator(
-        pres, names[other - 1], fresh, f"{names[pick - 1]}' {fresh}")
-    new_gens = [forward(w) for w in gens]
-    verdict = decide_surface_submonoid(new_pres, new_gens, forward(word),
-                                       budget, labels=labels)
-    verdict.methods.insert(0, "substitution")
-    return verdict
+class _NonorientableMagnus(SubmonoidDecider):
+    """The general decider on an N_g Magnus set, with its own residual
+    instance.  N_g has no stable letter of zero exponent sum.  Take a
+    generator `pick` that the set holds with one sign only, and a generator
+    `other` that the set lacks with that sign (one exists, or the set would
+    be whole-group).  After the change of generators other -> pick' x, pick
+    has exponent sum 0 in the relator, and every generator of the set has a
+    pick exponent of pick's sign or 0, so the instance is taken there.  An
+    inversion-closed set has no pick and no instance."""
+
+    def residual_instance(self, word):
+        signed = {w.free_reduce().letters[0] for w in self.gens}
+        k = len(self.presentation.alphabet)
+        pick = next((i for i in range(1, k + 1)
+                     if (i in signed) != (-i in signed)), None)
+        if pick is None:
+            return None
+        sign = 1 if pick in signed else -1
+        other = next(j for j in range(1, k + 1)
+                     if j != pick and sign * j not in signed)
+        names = self.presentation.alphabet.names
+        fresh = next(nm for nm in ("x", "y", "z") if nm not in names)
+        new_pres, forward = substitute_generator(
+            self.presentation, names[other - 1], fresh,
+            f"{names[pick - 1]}' {fresh}")
+        return _residual_instance(new_pres, [names[pick - 1]],
+                                  [forward(w) for w in self.gens],
+                                  forward(word))
 
 
 def _cyclic_magnus(pres, engine, gens, lits, labels, word):
-    """Membership in Mon<x, x^-1> = <x> on N_g, g >= 2, decided exactly.
-    x has infinite order in H_1 (x) Q = Q^g / <(1, ..., 1)>, so w = x^e
-    forces every other exponent sum of w to one value c and e = v_x - c;
-    the engine then compares w with that one power."""
+    """Membership in Mon<x>, Mon<x^-1> or Mon<x, x^-1> = <x> on N_g,
+    g >= 2, decided exactly.  x has infinite order in
+    H_1 (x) Q = Q^g / <(1, ..., 1)>, so w = x^e forces every other exponent
+    sum of w to one value c and e = v_x - c; the engine then compares w
+    with that one power, whose sign the set must hold."""
     x = abs(lits[0])
     names = pres.alphabet.names
     image = {nm: word.exponent_sum(nm) for nm in names}
@@ -483,8 +497,13 @@ def _cyclic_magnus(pres, engine, gens, lits, labels, word):
     if e is not None:
         power = _power(x, e)
         if engine.equal(Word(pres.alphabet, power), word):
-            return _verified_member(engine, gens, labels, _picks(lits, power),
-                                    word, ["cyclic"], {"exponent": e})
+            picks = _picks(lits, power)
+            if picks is None:
+                return Verdict.non_member(
+                    {"exponent": e, "reason": "power of the wrong sign"},
+                    methods=["cyclic"])
+            return _verified_member(engine, gens, labels, picks, word,
+                                    ["cyclic"], {"exponent": e})
     return Verdict.non_member(
         {"image": image, "exponent": e,
          "reason": "no power of the generator equals the word"},
@@ -506,24 +525,6 @@ def decide_prefix_surface(g, orientable, word, budget=None):
     verdict = prefix_decider(g, orientable).decide(word, budget)
     verdict.methods.insert(0, "prefix")
     return verdict
-
-
-_BS_LETTERS = ("a", "A", "t", "T")
-
-
-def _letter_subset(presentation, letters):
-    """The generating set as distinct letters from a, A, t, T, a proper
-    nonempty subset: the labels as given, and their signed letters."""
-    labels = []
-    for item in letters:
-        item = item.strip() if isinstance(item, str) else item
-        if item not in _BS_LETTERS or item in labels:
-            raise DeciderError(f"bad letter {item!r}")
-        labels.append(item)
-    if not labels or len(labels) == 4:
-        raise DeciderError(
-            "the generating set must be a proper nonempty subset of a, A, t, T")
-    return labels, [presentation.word(c).letters[0] for c in labels]
 
 
 def _power(x, k):
@@ -551,7 +552,7 @@ def decide_bs_magnus(m, n, letters, word, budget=None):
         raise DeciderError(
             f"parameters ({m}, {n}) are outside the decided range")
     pres = bs_presentation(m, n)
-    labels, lits = _letter_subset(pres, letters)
+    _, lits, labels = _magnus_set(pres, letters)
     word = _parse_word(pres, word)
 
     swaps = []
@@ -826,7 +827,7 @@ def decide_burns_magnus(letters, word, budget=None):
     """Membership in the submonoid of the Burns group generated by a proper
     subset of the four signed letters, through the FBC Magnus route, with
     the witness in the given letters."""
-    labels, lits = _letter_subset(_BURNS, letters)
+    _, lits, labels = _magnus_set(_BURNS, letters)
     return _fbc_magnus(_BURNS_FBC, labels, lits, _parse_word(_BURNS, word),
                        budget, {})
 

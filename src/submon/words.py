@@ -72,16 +72,6 @@ class Alphabet:
             raise WordError(f"letter {letter} not in {self!r}")
         return self.names[idx]
 
-    def word(self, letters=(), reduce=False):
-        w = Word(self, letters)
-        return w.free_reduce() if reduce else w
-
-    def parse(self, text):
-        return Word.parse(self, text)
-
-    def __call__(self, text):
-        return Word.parse(self, text)
-
 
 def invert_letters(letters):
     return tuple(-x for x in reversed(letters))
@@ -222,9 +212,6 @@ class Word:
 
     def __invert__(self):
         return _trusted(self.alphabet, invert_letters(self.letters))
-
-    def inverse(self):
-        return ~self
 
     def __pow__(self, k):
         if k < 0:

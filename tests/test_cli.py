@@ -115,6 +115,19 @@ def test_magnus_command(capsys):
     assert code == 1
 
 
+def test_magnus_letters_in_any_spelling(capsys):
+    code, out, _ = run(capsys, "burns", "--letters", "a',t",
+                       "--word", "t a'", "--json")
+    assert code == 0 and json.loads(out)["witness"] == ["t", "A"]
+    code, out, _ = run(capsys, "bs-magnus", "--m", "2", "--n", "3",
+                       "--letters", "t',a", "--word", "a t'", "--json")
+    assert code == 0 and json.loads(out)["witness"] == ["a", "T"]
+    for letters in ("c,c',d,d'", "c,c", " "):
+        code, _, err = run(capsys, "magnus", "--group", "N2",
+                           "--letters", letters, "--word", "c")
+        assert code == 3 and "error:" in err, letters
+
+
 def test_reduce_dg_command(capsys):
     code, out, _ = run(capsys, "reduce-dg", "--group", "S2", "--stable", "a",
                        "--gens", "b,b c", "--query", "b c b")

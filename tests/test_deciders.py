@@ -490,7 +490,7 @@ def test_surface_magnus_nonorientable():
     v = decide_surface_magnus(2, False, ["c'", "d'"], "c")
     assert v.is_member and v.witness == ["C", "D", "D"]
     check_witness(N2, neg, v.witness, "c")
-    # a proper set goes through the substitution route
+    # other proper sets go through the general decider
     v = decide_surface_magnus(2, False, ["c", "d'"], "d' c")
     assert v.is_member and v.witness == ["D", "c"]
     v = decide_surface_magnus(3, False, ["a1", "a2"], "a2 a1'")
@@ -500,7 +500,7 @@ def test_surface_magnus_nonorientable():
     N3 = nonorientable_presentation(3)
     g3 = [Word.parse(N3.alphabet, s) for s in ("a1'", "a3")]
     check_witness(N3, g3, v.witness, "a1' a1' a3")
-    # all-negative single-sign sets decide through the flipped problem
+    # so do all-negative single-sign sets
     v = decide_surface_magnus(3, False, ["a1'", "a3'"], "a3' a1'")
     assert v.is_member and v.witness == ["a3'", "a1'"]
     g4 = [Word.parse(N3.alphabet, s) for s in ("a1'", "a3'")]
@@ -522,6 +522,56 @@ def test_surface_magnus_inversion_closed_rank_one():
     # the abelian image fits a1', but the group says otherwise
     v = decide_surface_magnus(3, False, ["a1", "a1'"], "a2 a3")
     assert v.is_non_member and v.certificate["exponent"] == -1
+
+
+def test_surface_magnus_nonorientable_takes_the_general_routes():
+    # the collapse onto Z sends a1 to x and a2 to 1, and x is outside
+    # Mon<1, x'>
+    v = decide_surface_magnus(3, False, ["a2", "a2'", "a1'"], "a1")
+    assert v.is_non_member and v.methods[-1] == "image"
+    assert v.certificate["hom"] == "collapse"
+    assert v.certificate["image"] == "x"
+    # an inversion-closed rank-2 set is searched like any other
+    N3 = nonorientable_presentation(3)
+    gens = [Word.parse(N3.alphabet, s) for s in ("a1", "a1'", "a2", "a2'")]
+    v = decide_surface_magnus(3, False, gens, "a2 a1 a2'")
+    assert v.is_member
+    check_witness(N3, gens, v.witness, "a2 a1 a2'")
+    v = decide_surface_magnus(3, False, gens, "a3 a3 a1")
+    assert "out of scope" not in str(v.certificate)
+
+
+def test_surface_magnus_rank_one_single_sign():
+    # Mon<x> and Mon<x'> hold the powers of x of one sign
+    v = decide_surface_magnus(3, False, ["a1'"], "a2 a2 a3 a3")
+    assert v.is_member and v.witness == ["a1'", "a1'"]
+    assert v.methods == ["cyclic"]
+    v = decide_surface_magnus(3, False, ["a1"], "a2 a2 a3 a3")
+    assert v.is_non_member and v.methods == ["cyclic"]
+    assert v.certificate == {"exponent": -2,
+                             "reason": "power of the wrong sign"}
+    budget = SearchBudget(6, 5000)
+    for word in ("a3 a3 a3 a3 a3 a3 a3", "a3' a2 a2 a2"):
+        v = decide_surface_magnus(3, False, ["a1'"], word, budget)
+        assert v.is_non_member and v.methods == ["cyclic"], word
+
+
+@pytest.mark.parametrize("decide, full", [
+    (lambda s: decide_surface_magnus(2, True, s, "a"),
+     ["a", "a'", "b", "b'", "c", "c'", "d", "d'"]),
+    (lambda s: decide_surface_magnus(2, False, s, "c"), ["c", "c'", "d", "D"]),
+    (lambda s: decide_bs_magnus(2, 3, s, "a"), ["a", "A", "t", "t'"]),
+    (lambda s: decide_burns_magnus(s, "a"), ["a", "a'", "t", "T"]),
+])
+def test_magnus_generating_set_contract(decide, full):
+    """Every Magnus decider takes a nonempty proper subset of the signed
+    generators, in any spelling, and rejects anything else."""
+    assert not decide(full[:1]).is_unknown
+    for bad in ([], full, [full[0], full[0]], [full[0], full[0] + " "],
+                full[:1] + [full[0] + " " + full[1] + " " + full[0]],
+                ["q"]):
+        with pytest.raises(DeciderError):
+            decide(bad)
 
 
 def test_positivity_fbc():

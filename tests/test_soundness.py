@@ -10,11 +10,12 @@ outside the monoid of the generators' exponents, and `decide_bs_magnus`
 must agree with a product search over `BsEngine` wherever that search
 finds a product or certifies a miss.  The orientable Magnus
 decider must agree with the general surface decider on the same
-generating set, and the non-orientable one on a set {x, x^-1} must agree
-with a product search wherever that search finds a product or certifies a
-miss.  Products of relator prefixes on S2 and S3 are members,
-and their witnesses must multiply back through Britton, an engine the
-prefix decider does not use.  The prefix decider is the general decider on
+generating set, and the non-orientable one, on {x, x^-1} and on sets of
+mixed signs, must agree with a product search wherever that search finds a
+product or certifies a miss; its unknowns that no factor bound covers
+carry a DG instance.  Products of relator prefixes on S2 and S3 are
+members, and their witnesses must multiply back through Britton, an engine
+the prefix decider does not use.  The prefix decider is the general decider on
 the prefix set: the same verdict, with "prefix" leading the methods.
 """
 
@@ -411,3 +412,55 @@ def test_inversion_closed_rank_one_agrees_with_bounded_search(case):
     if res.certified:
         assert not (verdict.is_member and len(verdict.witness) <= 8), (
             g, x, query, verdict.witness)
+
+
+@st.composite
+def nonorientable_magnus_queries(draw):
+    """Signed generators of N2, N3 or N4 with mixed signs, the first of them
+    perhaps with both, and a query: a product of them with a conjugated
+    relator rotation spliced in, or a short word."""
+    g = draw(st.sampled_from(sorted(NONORIENTABLE)))
+    pres = NONORIENTABLE[g]
+    chosen = draw(st.lists(st.integers(1, g), min_size=1, max_size=g,
+                           unique=True))
+    letters = [x * draw(st.sampled_from((1, -1))) for x in chosen]
+    if draw(st.booleans()):
+        letters.append(-letters[0])
+    letter = signed_letter(g)
+    spliced = draw(st.booleans())
+    if spliced:
+        query = draw(st.lists(st.sampled_from(letters), max_size=4))
+        rel = pres.relator.letters
+        turn = draw(st.integers(0, len(rel) - 1))
+        conj = tuple(draw(st.lists(letter, max_size=2)))
+        at = draw(st.integers(0, len(query)))
+        query[at:at] = (conj + rel[turn:] + rel[:turn]
+                        + tuple(-y for y in reversed(conj)))
+    else:
+        query = draw(st.lists(letter, min_size=1, max_size=6))
+    return g, letters, Word(pres.alphabet, tuple(query)), spliced
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(nonorientable_magnus_queries())
+def test_nonorientable_magnus_agrees_with_bounded_search(case):
+    """A spliced product and a product the search finds are never
+    non-members, a query the search certifies absent up to eight factors
+    never gets a shorter member witness, and an unknown that no factor
+    bound covers carries a DG instance over a zero-sum stable letter."""
+    g, letters, query, spliced = case
+    pres = NONORIENTABLE[g]
+    gens = [Word(pres.alphabet, (x,)) for x in letters]
+    verdict = decide_surface_magnus(g, False, gens, query, BUDGET)
+    assert not (spliced and verdict.is_non_member), (g, letters, query)
+    res = bounded_search(gens, query, CYCLIC_SEARCH,
+                         engine=select_engine(pres))
+    if res.found:
+        assert not verdict.is_non_member, (g, letters, query, res.witness)
+    if res.certified:
+        assert not (verdict.is_member and len(verdict.witness) <= 8), (
+            g, letters, query, verdict.witness)
+    if verdict.is_unknown and not {"functional", "free-image"} & set(
+            verdict.methods):
+        ip = verdict.instance.hnn.ip
+        assert ip.original.relator.exponent_sum(ip.stable) == 0
