@@ -3,10 +3,11 @@
 Every decision returns a Verdict.  Member verdicts carry a witness that is
 re-verified against a word-problem engine before being returned; non-member
 verdicts carry a certificate (a sign obstruction, an exhausted certified
-search bound, a normal-form letter outside the allowed set, or an image
-outside the image submonoid); everything else is an honest unknown, naming
-the search budget that ran out, with a machine-readable instance attached
-when one can be built.
+search bound, a normal-form letter outside the allowed set, an image
+outside the image submonoid, or a functional on the abelianization that is
+>= 0 on every generator and < 0 on the query); everything else is an
+honest unknown, naming the search budget that ran out, with a
+machine-readable instance attached when one can be built.
 
 On surface groups and BS(m, n) every route tries the image route before it
 searches.  Each free collapse f of the group (`free_collapses`) maps a
@@ -14,8 +15,11 @@ product of generators to the product of their images, so when the Benois
 acceptor rejects f(w) for Mon<f(gens)>, w is a non-member (method "image",
 with the collapse and f(w) in the certificate); when the acceptor's
 factorization of f(w), multiplied out over the generators, equals w in the
-group, w is a member (method "image-lift").  Otherwise the next collapse,
-then the search, decides.
+group, w is a member (method "image-lift").  Otherwise the next collapse
+decides.  On every group the abelian route comes after the image route and
+before the search: a functional that kills every relator, is >= 0 on every
+generator and < 0 on w proves w a non-member (method "abelian"), and
+`separating_functional` finds one whenever one exists.
 
 A `SubmonoidDecider` runs these routes for one generating set and keeps
 what depends on the set alone (engine, acceptors, factor bounds) across
@@ -47,7 +51,7 @@ from submon.magnus import (
 from submon.automata import StallingsGraph, SaturatedAcceptor, no_cancellation
 from submon.distortion import (
     SearchBudget, bounded_search, positive_functional, functional_value,
-    free_image_graded,
+    free_image_graded, separating_functional,
 )
 from submon.presentations import (
     surface_presentation, nonorientable_presentation, bs_presentation,
@@ -258,9 +262,10 @@ class SubmonoidDecider:
 
     `decide` runs the routes in order: positive functional (complete),
     graded free image (complete when the composed bound fits the budget),
-    bounded search (member or unknown).  On surface groups and BS(m, n)
-    each route runs the image route first and searches only when no
-    collapse settles the query.  An unknown that no factor bound covered
+    bounded search (member or unknown).  Each route then runs the same
+    tail: on surface groups and BS(m, n) the image route, then on every
+    group the abelian route (`_abelian`), and searches only when neither
+    settles the query.  An unknown that no factor bound covered
     carries the DG instance of the residual problem (`residual_instance`),
     built only then, with "instance" leading its methods.
     """
@@ -309,6 +314,28 @@ class SubmonoidDecider:
                                         certificate, bound=bound)
         return None
 
+    def _abelian(self, word, methods, certificate=None):
+        """The abelian route: a non-member verdict from a functional that
+        kills every relator, is >= 0 on every generator and < 0 on the
+        query, rechecked here in integer arithmetic by an explicit raise
+        that `python -O` keeps; None when no such functional exists or the
+        elimination gives up.  Its
+        `functional` and `value` replace those of the functional route in
+        the certificate."""
+        psi = separating_functional(self.presentation, self.gens, word)
+        if psi is None:
+            return None
+        values = [functional_value(psi, g) for g in self.gens]
+        value = functional_value(psi, word)
+        if (any(functional_value(psi, r) for r in self.presentation.relators)
+                or min(values) < 0 or value >= 0):
+            raise AssertionError("separating functional failed to verify")
+        cert = dict(certificate or {}, functional=psi,
+                    values=dict(zip(self.labels, values)), value=value,
+                    reason="functional >= 0 on every generator and "
+                           "negative on the word")
+        return Verdict.non_member(cert, methods=methods + ["abelian"])
+
     def decide(self, word, budget=None):
         word = _parse_word(self.presentation, word)
         gens, labels, engine = self.gens, self.labels, self.engine
@@ -347,6 +374,7 @@ class SubmonoidDecider:
             }
 
         verdict = (self._image(word, methods, cert, bound)
+                   or self._abelian(word, methods, cert)
                    or _certified_search(gens, labels, word, engine,
                                         bound=bound, budget=budget,
                                         methods=methods, certificate=cert))

@@ -19,6 +19,11 @@ have.  Certificates producing such budgets:
   rest form a code with no boundary cancellation; factor count over the
   code is at most the reduced length.
 
+`separating_functional` proves non-membership rather than bounding factor
+counts: an integer functional killing the relators, >= 0 on every
+generator and < 0 on the query, found by the same exact elimination
+(`_eliminate`) that tells `positive_functional` whether to scan at all.
+
 `bounded_search` enumerates products breadth-first with free-word
 deduplication, finds witnesses through a backward meet set, and can
 certify non-membership up to a depth when the state and group-check
@@ -29,6 +34,7 @@ than as a checked `Word`.
 
 import itertools
 import math
+from fractions import Fraction
 from operator import mul
 
 from submon.words import (
@@ -130,59 +136,162 @@ def midpoint_certificate(alphabet, gens):
 
 
 # Fourier-Motzkin can square the row count at each elimination; past this
-# many pairs in one step the check gives up and leaves the answer to the
-# box scan, which is always correct.
+# many pairs in one step `_eliminate` gives up, and each caller leaves the
+# question to a route that is always correct: the box scan, or the search.
 _MAX_PAIRS = 4096
+
+
+class _Overflow(Exception):
+    """An elimination step would combine more than `_MAX_PAIRS` pairs."""
 
 
 def _primitive(row):
     g = math.gcd(*row)
-    return tuple(c // g for c in row) if g else tuple(row)
+    return tuple(c // g for c in row) if g > 1 else tuple(row)
+
+
+def _pick(lo, hi):
+    """A value above `lo` and below `hi`, each a (bound, strict) pair or
+    None for no bound: the integer nearest 0 between them when there is
+    one, else their midpoint."""
+    low = high = None
+    if lo is not None:
+        low = math.floor(lo[0]) + 1 if lo[1] else math.ceil(lo[0])
+    if hi is not None:
+        high = math.ceil(hi[0]) - 1 if hi[1] else math.floor(hi[0])
+    if low is not None and high is not None and low > high:
+        return (lo[0] + hi[0]) / 2
+    x = 0 if low is None else max(0, low)
+    return x if high is None else min(x, high)
+
+
+def _eliminate(eqs, rows):
+    """A rational psi with e.psi = 0 for every vector e in `eqs`, and
+    r.psi > 0 or r.psi >= 0 for every pair (r, strict) in `rows`, as a
+    primitive integer tuple; None when there is none, decided exactly.
+
+    Gaussian elimination substitutes the equalities away, then
+    Fourier-Motzkin eliminates the variables from the inequalities, a
+    combination being strict when either of its rows is.  A substitution
+    or combination only scales a row by a positive factor on the solution
+    set, so rows are kept as primitive integer vectors, mapped to their
+    strictness, which drops duplicates; a zero row reads 0 >= 0, dropped,
+    or 0 > 0, infeasible.  Back-substitution then picks each variable
+    inside the bounds its elimination step left (`_pick`), in reverse, and
+    the pivots from their equations.  Raises `_Overflow` when a step would
+    combine more than `_MAX_PAIRS` pairs of rows.
+    """
+    n = len(rows[0][0])
+    system = {}
+
+    def add(row, strict):
+        row = _primitive(row)
+        if (strict or any(row)) and not system.get(row):
+            system[row] = strict
+
+    for r, strict in rows:
+        add(r, strict)
+    pivots = []
+    eqs = [e for e in eqs if any(e)]
+    while eqs:
+        e = eqs.pop()
+        j = next(i for i, c in enumerate(e) if c)
+        pivots.append((j, e))
+        a, s = abs(e[j]), (1 if e[j] > 0 else -1)
+
+        def sub(row):
+            c = s * row[j]
+            return [a * x - c * y for x, y in zip(row, e)] if c else row
+        eqs = [r for r in map(_primitive, map(sub, eqs)) if any(r)]
+        old, system = system, {}
+        for r, strict in old.items():
+            add(sub(r), strict)
+
+    steps = []
+    zero = (0,) * n
+    while system and zero not in system:
+        # the column whose elimination adds the fewest rows
+        best = None
+        for j in range(n):
+            p = q = 0
+            for r in system:
+                if r[j] > 0:
+                    p += 1
+                elif r[j] < 0:
+                    q += 1
+            if (p or q) and (best is None or p * q - p - q < best[0]):
+                best = p * q - p - q, j
+        j = best[1]
+        pos = [r for r in system if r[j] > 0]
+        neg = [r for r in system if r[j] < 0]
+        if len(pos) * len(neg) > _MAX_PAIRS:
+            raise _Overflow
+        old, system = system, {r: s for r, s in system.items() if not r[j]}
+        steps.append((j, pos + neg, old))
+        for p in pos:
+            for q in neg:
+                add([p[j] * y - q[j] * x for x, y in zip(p, q)],
+                    old[p] or old[q])
+    if system:
+        return None
+
+    psi = [0] * n
+    for j, bounding, strictness in reversed(steps):
+        lo = hi = None
+        for r in bounding:
+            bound = (Fraction(-sum(map(mul, r, psi)), r[j]), strictness[r])
+            # the tighter of two equal bounds is the strict one
+            if r[j] > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(
+                    hi, bound, key=lambda b: (b[0], not b[1]))
+        psi[j] = _pick(lo, hi)
+    for j, e in reversed(pivots):
+        psi[j] = Fraction(-sum(map(mul, e, psi)), e[j])
+    scale = math.lcm(*(Fraction(x).denominator for x in psi))
+    return _primitive([int(x * scale) for x in psi])
 
 
 def _has_rational_functional(rel_vecs, gen_vecs):
     """Whether some rational psi has rel.psi = 0 for every relator vector
-    and gen.psi > 0 for every generator vector, decided exactly.
-
-    Gaussian elimination substitutes the relator equalities away, then
-    Fourier-Motzkin eliminates the variables from the strict rows.  A
-    substitution or combination only scales a strict row by a positive
-    factor on the solution set, so rows are kept as primitive integer
-    vectors in a set, which drops duplicates; a zero row reads 0 > 0.
-    Returns True, leaving the question open, when a step would combine
-    more than `_MAX_PAIRS` pairs of rows.
-    """
+    and gen.psi > 0 for every generator vector, decided exactly by
+    `_eliminate`; True, leaving the question open, when it gives up."""
     if not gen_vecs:
         return True
-    rows = {_primitive(g) for g in gen_vecs}
-    eqs = [r for r in rel_vecs if any(r)]
-    while eqs:
-        e = eqs.pop()
-        j = next(i for i, c in enumerate(e) if c)
-        s = 1 if e[j] > 0 else -1
+    try:
+        return _eliminate(rel_vecs, [(g, True) for g in gen_vecs]) is not None
+    except _Overflow:
+        return True
 
-        def sub(row):
-            return _primitive([abs(e[j]) * a - s * row[j] * b
-                               for a, b in zip(row, e)])
-        eqs = [r for r in map(sub, eqs) if any(r)]
-        rows = {sub(r) for r in rows}
-    columns = set(range(len(gen_vecs[0])))
-    while rows and columns:
-        if not all(map(any, rows)):
-            return False
 
-        def split(j):
-            pos = [r for r in rows if r[j] > 0]
-            neg = [r for r in rows if r[j] < 0]
-            return len(pos) * len(neg) - len(pos) - len(neg), j, pos, neg
-        _, j, pos, neg = min(map(split, columns))
-        if len(pos) * len(neg) > _MAX_PAIRS:
-            return True
-        columns.discard(j)
-        rows = {r for r in rows if r[j] == 0} | {
-            _primitive([-q[j] * a + p[j] * b for a, b in zip(p, q)])
-            for p in pos for q in neg}
-    return not rows
+def _exponent_vector(word):
+    v = [0] * len(word.alphabet)
+    for x in word.letters:
+        v[abs(x) - 1] += 1 if x > 0 else -1
+    return v
+
+
+def separating_functional(presentation, gens, word):
+    """An integer functional on the generators of the presentation that
+    kills every relator, is >= 0 on every word of `gens` and < 0 on `word`,
+    as a dict from generator name to value; None when there is none.
+
+    Such a functional is a homomorphism of the group to the integers that
+    is >= 0 on the whole monoid, so it proves `word` a non-member.  By
+    Farkas' lemma one exists exactly when the exponent vector of `word`
+    lies outside the cone of the generators' plus the span of the
+    relators', so over the abelianization the test is exact; None also
+    when the elimination gives up.
+    """
+    rows = [(_exponent_vector(g), False) for g in gens]
+    rows.append(([-c for c in _exponent_vector(word)], True))
+    try:
+        psi = _eliminate(list(map(_exponent_vector, presentation.relators)),
+                         rows)
+    except _Overflow:
+        return None
+    return None if psi is None else dict(zip(presentation.alphabet.names, psi))
 
 
 def positive_functional(presentation, gens, radius=8):

@@ -34,6 +34,22 @@ def test_member_json_envelope(capsys):
     assert "elapsed_ms" in data
 
 
+def test_member_json_abelian_non_member(capsys):
+    # {a, a', t} holds a with both signs, so no functional is positive on
+    # it; one counting t is >= 0 on the set and -1 on t'
+    code, out, _ = run(capsys, "member", "--group", "BURNS",
+                       "--gens", "a, a', t", "--word", "t'", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "non-member"
+    assert data["method"] == ["abelian"]
+    cert = data["certificate"]
+    assert cert["functional"] == {"a": 0, "t": 1}
+    assert cert["values"] == {"a": 0, "A": 0, "t": 1}
+    assert cert["value"] == -1
+    assert json.loads(json.dumps(cert)) == cert
+
+
 def test_prefix_command(capsys):
     code, out, _ = run(capsys, "prefix", "--group", "S2", "--word", "A")
     assert code == 1

@@ -432,13 +432,19 @@ def test_instance_only_on_unknown_verdicts():
     assert found.is_member and found.witness == ["a", "t"]
     assert found.methods == ["search"]
     assert found.instance is None
-    # every generator has nonnegative t-exponent, so T is out of reach
-    missed = decide_surface_submonoid(B, gens, "T", budget)
+    # every generator has nonnegative t-exponent, so T is out of reach,
+    # and the functional counting t proves it
+    separated = decide_surface_submonoid(B, gens, "T", budget)
+    assert separated.is_non_member and separated.methods == ["abelian"]
+    assert separated.instance is None
+    # Tat has t-exponent 0 and a-exponent 1, which a, A cancel in every
+    # functional >= 0 on the set: no abelian obstruction, so the search runs
+    missed = decide_surface_submonoid(B, gens, "Tat", budget)
     assert missed.is_unknown
     assert missed.certificate == {"limit": "max_depth"}
     assert missed.methods[0] == "instance"
     assert missed.methods[-1] == "semi-decision"
-    direct = reduce_to_dg_instance(B, "t", gens, query="T")
+    direct = reduce_to_dg_instance(B, "t", gens, query="Tat")
     assert missed.instance.serialize() == direct.serialize()
 
 
@@ -792,3 +798,27 @@ def test_verification_survives_optimize_flag():
                           timeout=60)
     assert proc.returncode != 0
     assert "AssertionError: witness failed verification" in proc.stderr
+
+
+LYING_FUNCTIONAL = textwrap.dedent("""
+    import submon.deciders as deciders
+    from submon.presentations import burns_presentation
+
+    # zero on the query, so it separates nothing
+    deciders.separating_functional = lambda *args: {"a": 0, "t": 0}
+    deciders.decide_surface_submonoid(burns_presentation(), ["a", "A", "t"],
+                                      "T")
+""")
+
+
+def test_abelian_recheck_survives_optimize_flag():
+    """An abelian non-member whose functional fails the integer recheck
+    must raise even when asserts are compiled out."""
+    src = os.path.dirname(os.path.dirname(submon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", LYING_FUNCTIONAL],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode != 0
+    assert ("AssertionError: separating functional failed to verify"
+            in proc.stderr)

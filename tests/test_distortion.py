@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,12 @@ from submon.presentations import (
     burns_presentation, bs_presentation,
 )
 from submon.rewrite import DehnEngine
+from submon import distortion
+from submon.deciders import decide_surface_submonoid
 from submon.distortion import (
     DistortionBudget, compose_budget, half_suffix, midpoint_certificate,
     positive_functional, functional_value, code_certificate, free_image_graded,
-    dehn_twist_hom,
+    dehn_twist_hom, separating_functional, _has_rational_functional,
     undistorted_constants, SearchBudget, SearchResult, bounded_search,
 )
 
@@ -236,6 +239,118 @@ def test_positive_functional_nine_generators_over_eight_letters():
     gens.append(W(alphabet, "ABCDEFGH"))
     assert positive_functional(pres, gens) is None
     assert box_scan_functional(pres, gens, radius=1) is None
+
+
+def exponent_vectors(words):
+    return [[w.exponent_sum(i) for i in range(len(w.alphabet))]
+            for w in words]
+
+
+def test_rational_functional_keeps_its_answers():
+    """The feasibility answers behind the positive functional cases above,
+    now read off the one elimination that also separates queries."""
+    cd = Alphabet(["c", "d"])
+    abcd = Alphabet(["a", "b", "c", "d"])
+    rel = W(abcd, "abABcdCD")
+    eight = Alphabet(list("abcdefgh"))
+    cases = [
+        ([W(cd, "ccdd")], [W(cd, t) for t in ["c", "cc", "ccd"]], True),
+        ([W(cd, "ccdd")], [W(cd, "c"), W(cd, "d")], False),
+        ([], [W(XY, "x"), W(XY, "xy")], True),
+        ([rel], [Word(abcd, rel.letters[:k]) for k in range(1, 8)], False),
+        ([rel], [W(abcd, t) for t in ["c", "C"]], False),
+        ([rel], [W(abcd, t) for t in ["D", "c", "a", "A"]], False),
+        ([], [W(XY, "xYY"), W(XY, "Xy")], True),
+        ([], [W(eight, "abcdefgh"[i] + "abcdefgh"[(i + 1) % 8])
+              for i in range(8)] + [W(eight, "ABCDEFGH")], False),
+    ]
+    for relators, gens, want in cases:
+        assert _has_rational_functional(
+            exponent_vectors(relators), exponent_vectors(gens)) is want, gens
+
+
+def rechecks(pres, gens, word, psi):
+    """psi kills every relator, is >= 0 on every generator and < 0 on the
+    word, in integer arithmetic on the exponent sums."""
+    def value(w):
+        return sum(psi[nm] * w.exponent_sum(nm) for nm in pres.alphabet.names)
+    return (all(value(r) == 0 for r in pres.relators)
+            and all(value(g) >= 0 for g in gens) and value(word) < 0)
+
+
+def test_separation_with_a_lineality_space():
+    # a and A force psi(a) = 0; t is free, as the Burns relator has zero
+    # exponent sums
+    B = burns_presentation()
+    gens = [W(B.alphabet, "a"), W(B.alphabet, "A")]
+    psi = separating_functional(B, gens, W(B.alphabet, "t"))
+    assert psi == {"a": 0, "t": -1}
+    assert rechecks(B, gens, W(B.alphabet, "t"), psi)
+    for text in ("aaa", "A", "tT", "taT"):
+        assert separating_functional(B, gens, W(B.alphabet, text)) is None
+
+
+def test_separation_respects_relators():
+    # in <c, d | ccdd>, psi(d) = -psi(c): with c >= 0 and d >= 0 both are 0
+    cd = Alphabet(["c", "d"])
+    pres = Presentation(cd, [W(cd, "ccdd")])
+    gens = [W(cd, "c"), W(cd, "d")]
+    for text in ("C", "D", "Cd"):
+        assert separating_functional(pres, gens, W(cd, text)) is None
+    psi = separating_functional(pres, [W(cd, "c")], W(cd, "d"))
+    assert psi == {"c": 1, "d": -1}
+
+
+def test_separation_gives_up_past_max_pairs(monkeypatch):
+    """Past `_MAX_PAIRS` the elimination separates nothing, and the
+    decider searches as it would without it."""
+    B = burns_presentation()
+    gens = ["a", "A", "t"]
+    budget = SearchBudget(4, 2000)
+    assert decide_surface_submonoid(B, gens, "T", budget).methods == [
+        "abelian"]
+    monkeypatch.setattr(distortion, "_MAX_PAIRS", 0)
+    assert separating_functional(
+        B, [W(B.alphabet, t) for t in gens], W(B.alphabet, "T")) is None
+    verdict = decide_surface_submonoid(B, gens, "T", budget)
+    assert verdict.is_unknown
+    assert verdict.methods[-2:] == ["search+group-eq", "semi-decision"]
+    assert verdict.certificate == {"limit": "max_depth"}
+    # the feasibility check leaves the answer open, and the box scan
+    # decides
+    assert _has_rational_functional([], [[1, 0], [-1, 0]])
+    assert positive_functional(
+        Presentation(XY, []), [W(XY, "x"), W(XY, "X")]) is None
+
+
+def box_scan_separation(pres, gens, word, radius):
+    """Reference: an integer separating functional in the box of the given
+    radius, or None."""
+    names = pres.alphabet.names
+    for point in itertools.product(range(-radius, radius + 1),
+                                   repeat=len(names)):
+        psi = dict(zip(names, point))
+        if rechecks(pres, gens, word, psi):
+            return psi
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(functional_cases(), st.data())
+def test_separation_is_exact(case, data):
+    """Every functional found rechecks, and whenever a small box holds a
+    separating functional the elimination finds one."""
+    pres, gens, _ = case
+    k = len(pres.alphabet)
+    word = Word(pres.alphabet, data.draw(st.lists(
+        st.sampled_from([s * i for i in range(1, k + 1) for s in (1, -1)]),
+        min_size=1, max_size=6)))
+    psi = separating_functional(pres, gens, word)
+    if psi is not None:
+        assert rechecks(pres, gens, word, psi), psi
+        assert math.gcd(*psi.values()) == 1
+    elif k <= 4:
+        assert box_scan_separation(pres, gens, word, 2) is None
 
 
 def test_code_certificate():

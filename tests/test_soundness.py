@@ -17,6 +17,9 @@ carry a DG instance.  Products of relator prefixes on S2 and S3 are
 members, and their witnesses must multiply back through Britton, an engine
 the prefix decider does not use.  The prefix decider is the general decider on
 the prefix set: the same verdict, with "prefix" leading the methods.
+No spliced product is separated from its generators by a functional on the
+abelianization, and every separating functional, found directly or named
+by an abelian non-member, rechecks on the exponent sums.
 """
 
 from math import gcd
@@ -35,7 +38,9 @@ from submon.deciders import (
     decide_bs_magnus, decide_surface_submonoid, decide_surface_magnus,
     decide_prefix_surface,
 )
-from submon.distortion import SearchBudget, bounded_search
+from submon.distortion import (
+    SearchBudget, bounded_search, separating_functional,
+)
 
 GROUPS = {
     name: builtin(name)
@@ -44,6 +49,10 @@ GROUPS = {
 GROUPS["aabbb"] = Presentation.parse("gens: a b\nrel: aabbb")
 ENGINES = {name: select_engine(pres) for name, pres in GROUPS.items()}
 BUDGET = SearchBudget(4, 2000, 200)
+
+
+def signed_letter(k):
+    return st.sampled_from([s * i for i in range(1, k + 1) for s in (1, -1)])
 
 
 @st.composite
@@ -86,6 +95,70 @@ def test_products_are_never_non_members(case):
         assert engine.equal(prod, query), (name, verdict.witness)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(spliced_products())
+def test_products_are_never_separated(case):
+    name, gens, query = case
+    assert separating_functional(GROUPS[name], gens, query) is None, (
+        name, gens, query)
+
+
+@st.composite
+def separation_queries(draw):
+    """A generating set over any group of GROUPS, often holding a letter
+    with both signs, and a short query."""
+    name = draw(st.sampled_from(sorted(GROUPS)))
+    pres = GROUPS[name]
+    letter = signed_letter(len(pres.alphabet))
+    gens = draw(st.lists(st.lists(letter, min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens.append([-x for x in reversed(gens[0])])
+    query = draw(st.lists(letter, min_size=1, max_size=6))
+    alphabet = pres.alphabet
+    return name, [Word(alphabet, g) for g in gens], Word(alphabet, query)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(separation_queries())
+def test_abelian_certificates_recheck(case):
+    """A separating functional, and the one an abelian non-member names,
+    kills every relator, is >= 0 on the generators and < 0 on the query,
+    with the values the certificate states: rechecked here on the exponent
+    sums."""
+    name, gens, query = case
+    pres = GROUPS[name]
+
+    def recheck(psi):
+        def value(w):
+            return sum(psi[nm] * w.exponent_sum(nm)
+                       for nm in pres.alphabet.names)
+        assert all(value(r) == 0 for r in pres.relators), (name, psi)
+        assert min(map(value, gens)) >= 0 > value(query), (name, psi)
+        return value
+    psi = separating_functional(pres, gens, query)
+    if psi is not None:
+        recheck(psi)
+    verdict = decide_surface_submonoid(pres, gens, query, BUDGET)
+    if "abelian" in verdict.methods:
+        assert verdict.is_non_member and verdict.methods[-1] == "abelian"
+        cert = verdict.certificate
+        value = recheck(cert["functional"])
+        assert cert["values"] == {g.format(): value(g) for g in gens}
+        assert cert["value"] == value(query)
+
+
+def test_aabbb_defect_stays_mended():
+    """b^-3 = a^2 in <a, b | a^2 b^3>, so BBB lies in Mon<a>; every
+    functional killing the relator has psi(BBB) = 2 psi(a) >= 0."""
+    pres = GROUPS["aabbb"]
+    a, query = pres.word("a"), pres.word("BBB")
+    assert separating_functional(pres, [a], query) is None
+    assert not decide_surface_submonoid(pres, ["a"], "BBB").is_non_member
+    assert not decide_surface_submonoid(pres, ["a"], "BBB",
+                                        BUDGET).is_non_member
+
+
 MORE_BS = {f"BS {m} {n}": bs_presentation(m, n)
            for m, n in ((1, 2), (-2, 3), (3, -5))}
 
@@ -107,10 +180,6 @@ def test_bs_products_are_never_non_members(name, data):
 
 
 SURFACES = ("S2", "S3", "N2", "N3")
-
-
-def signed_letter(k):
-    return st.sampled_from([s * i for i in range(1, k + 1) for s in (1, -1)])
 
 
 @st.composite
