@@ -6,9 +6,9 @@ from submon.presentations import builtin, select_engine
 from submon.deciders import (
     DeciderError, DgInstance, reduce_to_dg_instance,
     decide_surface_submonoid, decide_surface_magnus, decide_prefix_surface,
-    decide_bs_magnus, decide_burns_magnus, orbit_membership,
-    decide_positivity_fbc, choose_signs, powers_decider,
-    emit_positivity_gadget, eliminate_defined_generator,
+    decide_bs_magnus, decide_burns_magnus, decide_positivity_fbc,
+    choose_signs, powers_decider, emit_positivity_gadget,
+    eliminate_defined_generator,
 )
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "DeciderError", "DgInstance", "reduce_to_dg_instance",
     "decide_surface_submonoid", "decide_surface_magnus",
     "decide_prefix_surface", "decide_bs_magnus", "decide_burns_magnus",
-    "orbit_membership", "decide_positivity_fbc", "choose_signs",
-    "powers_decider", "emit_positivity_gadget",
-    "eliminate_defined_generator",
+    "decide_positivity_fbc", "choose_signs", "powers_decider",
+    "emit_positivity_gadget", "eliminate_defined_generator",
 ]

@@ -34,7 +34,10 @@ letters the caller gave.  Surface Magnus sets take the general decider, on
 N_g after three exact routes (identity, "whole-group", "cyclic").  Burns
 and positivity share one FBC Magnus route (`_fbc_magnus`): the positive
 monoid of a two-generator FBC group is the Magnus submonoid generated by
-its base and stable letters.
+its base and stable letters.  The route covers the kernel word u of the
+normal form stable^j u by stable-letter conjugates of the base letter with
+one cover (`_orbit_cover`): ordered when the set holds one sign of the
+stable letter, in any order when it holds both.
 """
 
 from functools import cached_property, lru_cache
@@ -46,9 +49,9 @@ from submon.words import (
 )
 from submon.magnus import (
     MagnusError, magnus_rewrite, britton_engine, FbcGroup, sub_name,
-    sub_invert, substitute_generator,
+    substitute_generator,
 )
-from submon.automata import StallingsGraph, SaturatedAcceptor, no_cancellation
+from submon.automata import StallingsGraph, SaturatedAcceptor
 from submon.distortion import (
     SearchBudget, bounded_search, positive_functional, functional_value,
     free_image_graded, separating_functional,
@@ -579,10 +582,6 @@ def decide_bs_magnus(m, n, letters, word, budget=None):
     if m == 0 or n == 0 or m == n:
         raise DeciderError(
             f"parameters ({m}, {n}) are outside the decided range")
-    pres = bs_presentation(m, n)
-    _, lits, labels = _magnus_set(pres, letters)
-    word = _parse_word(pres, word)
-
     swaps = []
     if abs(m) > abs(n):
         m, n = n, m
@@ -590,6 +589,11 @@ def decide_bs_magnus(m, n, letters, word, budget=None):
     if (m < 0 and n < 0) or (m > 0 > n):
         m, n = -m, -n
         swaps.append("aA")
+    # the normalized group has the same letters a, t, so one presentation
+    # parses the query and decides it
+    pres = bs_presentation(m, n)
+    _, lits, labels = _magnus_set(pres, letters)
+    word = _parse_word(pres, word)
     flip = {pres.alphabet.letter(pair[0]) for pair in swaps}
 
     def normalize(letters):
@@ -597,12 +601,11 @@ def decide_bs_magnus(m, n, letters, word, budget=None):
 
     cert_base = {"normalized": {"m": m, "n": n, "swaps": swaps}}
     return _bs_decide_normalized(
-        m, n, labels, normalize(lits),
+        pres, m, n, labels, normalize(lits),
         Word(pres.alphabet, normalize(word.letters)), budget, cert_base)
 
 
-def _bs_decide_normalized(m, n, labels, lits, word, budget, cert_base):
-    pres = bs_presentation(m, n)
+def _bs_decide_normalized(pres, m, n, labels, lits, word, budget, cert_base):
     engine = BsEngine(m, n, pres.alphabet)
     w0 = word.free_reduce()
     if not w0 or engine.is_trivial(word):
@@ -687,71 +690,35 @@ _BURNS = burns_presentation()
 _BURNS_FBC = FbcGroup(_BURNS, "t")
 
 
-def _tiling_dp(u, factors):
-    """Unordered cover of the triple sequence u by factor words; returns the
-    key sequence or None."""
-    L = len(u)
-    if L == 0:
-        return []
-    reach = [None] * (L + 1)
-    reach[0] = (0, None)
-    for i in range(L):
-        if reach[i] is None:
-            continue
-        for key, fw in factors.items():
-            l = len(fw)
-            if l and i + l <= L and u[i:i + l] == fw and reach[i + l] is None:
-                reach[i + l] = (i, key)
-    if reach[L] is None:
-        return None
-    out = []
-    pos = L
-    while pos > 0:
-        prev, key = reach[pos]
-        out.append(key)
-        pos = prev
-    out.reverse()
-    return out
+def _orbit_cover(u, factors, ordered):
+    """The orbit exponents k, in order along the kernel word u, whose factor
+    words `factors[k]` spell u letter for letter, or None when none do.
 
-
-def _ordered_cover(u, factors, core, stable):
-    """The ordered orbit cover of an FBC normal form, as witness letters.
-
-    `core` and `stable` are signed letters of the base and stable
-    generators.  `factors[k]` is the kernel word of `core` conjugated k
-    steps by the stable letter, for k from 0 to the top exponent.  A cover
-    of the kernel word u by factors with k weakly decreasing from the top,
-    factor k used c_k times, is the witness
-    core^c_top stable core^c_(top-1) ... stable core^c_0.  Returns its
-    letters, or None when no such cover exists."""
-    top = len(factors) - 1
+    A depth-first search over (position, cap) that tries the larger k first
+    and remembers the pairs it has exhausted.  With `ordered` k decreases
+    weakly along u, the cap being the last k taken; otherwise the cap stays
+    at the top and k comes in any order.  The path is a list, not the call
+    stack, so u may be longer than the recursion limit."""
+    order = sorted(factors.items(), reverse=True)
     dead = set()
-    ks = []
-
-    def go(pos, kcap):
-        if pos == len(u):
-            return True
-        if (pos, kcap) in dead:
-            return False
-        for k in range(kcap, -1, -1):
-            fw = factors[k]
-            l = len(fw)
-            if l and pos + l <= len(u) and u[pos:pos + l] == fw:
-                ks.append(k)
-                if go(pos + l, k):
-                    return True
-                ks.pop()
-        dead.add((pos, kcap))
-        return False
-
-    if not go(0, top):
-        return None
-    witness = []
-    for k in range(top, -1, -1):
-        witness.extend([core] * ks.count(k))
-        if k:
-            witness.append(stable)
-    return witness
+    path = []       # (position, cap, index in order) of each factor taken
+    pos, cap, i = 0, max(factors, default=0), 0
+    while pos < len(u):
+        step = None
+        if (pos, cap) not in dead:
+            step = next((n for n, (k, fw) in enumerate(order[i:], i)
+                         if k <= cap and u[pos:pos + len(fw)] == fw), None)
+        if step is None:
+            dead.add((pos, cap))
+            if not path:
+                return None
+            pos, cap, i = path.pop()
+            i += 1
+            continue
+        path.append((pos, cap, step))
+        k, fw = order[step]
+        pos, cap, i = pos + len(fw), k if ordered else cap, 0
+    return [order[n][0] for _, _, n in path]
 
 
 def _fbc_magnus(fbc, labels, lits, word, budget, cert_base):
@@ -770,9 +737,15 @@ def _fbc_magnus(fbc, labels, lits, word, budget, cert_base):
     j, u = fbc.normal_form(word)
     methods = ["fbc-normal-form"]
     cert_base = {"j": j, "u": fbc.format(u), **cert_base}
+    core = -a if inverse else a
 
-    def orbit(k):
-        return fbc.shift_to_basis(((fbc.g, 0, 1),), k)
+    def orbit(sign):
+        """The kernel words of core conjugated by stable^(sign k) for
+        k = 0, 1, ..., each the one before shifted once."""
+        fw = ((fbc.g, 0, -1 if inverse else 1),)
+        while True:
+            yield fw
+            fw = fbc.shift_to_basis(fw, sign)
 
     def reject(reason):
         return Verdict.non_member(dict(cert_base, reason=reason),
@@ -796,23 +769,20 @@ def _fbc_magnus(fbc, labels, lits, word, budget, cert_base):
 
     elif {t, -t} <= present:
         factors = {}
-        for direction in (1, -1):
-            k = 0 if direction == 1 else -1
-            while True:
-                fw = orbit(k)
-                if inverse:
-                    fw = sub_invert(fw)
+        for sign in (1, -1):
+            for k, fw in enumerate(orbit(sign)):
                 if len(fw) > len(u):
                     break
-                factors[k] = fw
-                k += direction
+                factors[sign * k] = fw
         methods.append("orbit-tiling")
-        tile = _tiling_dp(u, factors)
-        if tile is None:
+        # only Burns sets hold both stable signs; its orbit words carry the
+        # core's sign at both ends and alternate signs inside, so u has at
+        # most one cover
+        ks = _orbit_cover(u, factors, ordered=False)
+        if ks is None:
             return reject("kernel part is not a product of orbit conjugates")
-        core = -a if inverse else a
         witness = _power(t, j)
-        for k in tile:
+        for k in ks:
             witness += _power(t, k) + [core] + _power(t, -k)
         picks = _picks(lits, witness)
 
@@ -830,21 +800,25 @@ def _fbc_magnus(fbc, labels, lits, word, budget, cert_base):
                                      methods=methods + ["mixed-signs"],
                                      certificate=cert_base)
         # one base letter and one stable letter
-        sign = -1 if down else 1
-        factors = [orbit(sign * k) for k in range(abs(j) + 1)]
-        if inverse:
-            factors = [sub_invert(fw) for fw in factors]
+        top = abs(j)
+        factors = dict(zip(range(top + 1), orbit(-1 if down else 1)))
         # the cover is exact only when every factor is nonempty and no last
         # letter cancels a first letter; otherwise search
-        if not all(factors) or {fw[-1] for fw in factors} & {
-                (g, s, -e) for g, s, e in (fw[0] for fw in factors)}:
+        fws = factors.values()
+        if not all(fws) or {fw[-1] for fw in fws} & {
+                (g, s, -e) for g, s, e in (fw[0] for fw in fws)}:
             return _certified_search(gens, labels, word, fbc, budget=budget,
                                      methods=methods, certificate=cert_base)
         methods.append("orbit-dp")
-        witness = _ordered_cover(u, factors, -a if inverse else a,
-                                 t if down else -t)
-        if witness is None:
+        ks = _orbit_cover(u, factors, ordered=True)
+        if ks is None:
             return reject("ordered orbit tiling exhausted")
+        # factor k used c_k times: core^c_top stable ... stable core^c_0
+        witness = []
+        for k in range(top, -1, -1):
+            witness.extend([core] * ks.count(k))
+            if k:
+                witness.append(t if down else -t)
         picks = _picks(lits, witness)
 
     return _verified_member(fbc, gens, labels, picks, word, methods,
@@ -860,74 +834,6 @@ def decide_burns_magnus(letters, word, budget=None):
                        budget, {})
 
 
-def orbit_membership(theta, theta_inv, seeds, word, budget=None):
-    """Membership of a free-group word in the monoid generated by the
-    automorphism orbit of the seeds.
-
-    Complete when orbit word lengths grow monotonically past the target and
-    the collected words concatenate without cancellation; otherwise falls
-    back to a budget-bounded search.
-    """
-    target = word.free_reduce()
-    if not target:
-        return Verdict.member([], methods=["identity"])
-    L = len(target)
-    seeds = [s.free_reduce() for s in seeds]
-    factors = {}
-    probes = []
-    monotone = True
-    cap = L + 8
-    for si, seed in enumerate(seeds):
-        for direction, hom in ((1, theta), (-1, theta_inv)):
-            cur = seed if direction == 1 else hom(seed)
-            k = 0 if direction == 1 else -1
-            steps = 0
-            while steps < cap:
-                steps += 1
-                if len(cur) == 0:
-                    monotone = False
-                    break
-                if len(cur) > L:
-                    probe = cur
-                    for _ in range(3):
-                        probes.append(probe.letters)
-                        last = len(probe)
-                        probe = hom(probe)
-                        if len(probe) <= last:
-                            monotone = False
-                            break
-                    break
-                factors[(si, k)] = cur.letters
-                nxt = hom(cur)
-                if len(nxt) < len(cur):
-                    monotone = False
-                cur = nxt
-                k += direction
-            else:
-                monotone = False
-    certified = (monotone and factors
-                 and no_cancellation(list(factors.values()) + probes))
-    methods = ["orbit"]
-    cert = {"factors": {f"{si}:{k}": Word(word.alphabet, fw).format()
-                        for (si, k), fw in sorted(factors.items())},
-            "certified": bool(certified)}
-    gens = [Word(word.alphabet, fw) for fw in factors.values()]
-    labels = [w.format() for w in gens]
-    tile = _tiling_dp(target.letters, factors)
-    if tile is not None:
-        keys = list(factors)
-        # free group: the tiling spells the target letter for letter
-        return _verified_member(None, gens, labels,
-                                [keys.index(key) for key in tile], target,
-                                methods + ["tiling"], cert)
-    if certified:
-        cert["reason"] = "no tiling by orbit words"
-        return Verdict.non_member(cert, methods=methods + ["tiling"])
-    return _certified_search(gens, labels, target, None, bound=None,
-                             budget=budget, methods=methods,
-                             certificate=cert)
-
-
 def decide_positivity_fbc(presentation, word, budget=None):
     """Membership in the monoid of positive words of a two-generator
     one-relator group whose relator has zero exponent sum in one generator
@@ -936,21 +842,18 @@ def decide_positivity_fbc(presentation, word, budget=None):
     carries the DG instance over the stable letter."""
     if len(presentation.alphabet) != 2 or not presentation.is_one_relator:
         raise DeciderError("needs a two-generator one-relator presentation")
-    names = presentation.alphabet.names
-    stable = base = fbc = None
-    for cand, other in (tuple(reversed(names)), names):
+    for stable in reversed(presentation.alphabet.names):
         try:
-            fbc = FbcGroup(presentation, cand, other)
+            fbc = FbcGroup(presentation, stable)
         except MagnusError:
             continue
-        stable, base = cand, other
         break
-    if stable is None:
+    else:
         raise DeciderError(
             "no stable letter with unique extreme subscripts for the other "
             "generator")
     word = _parse_word(presentation, word)
-    labels = [base, stable]
+    labels = [fbc.gen, stable]
     lits = [presentation.alphabet.letter(c) for c in labels]
     verdict = _fbc_magnus(fbc, labels, lits, word, budget, {"stable": stable})
     if verdict.is_unknown:
@@ -1053,7 +956,8 @@ def powers_decider(presentation, powers, word, budget=None):
             idx = presentation.alphabet.index(name) + 1
             e = subgroup[name] * (1 if s > 0 else -1)
             combo = bezout_witness(idx, e)
-            assert combo is not None, "gcd power must be reachable"
+            if combo is None:
+                raise AssertionError("gcd power must be reachable")
             witness_idx.extend(combo)
         return _verified_member(engine, ps, labels, witness_idx, word,
                                 ["powers", "subgroup"], cert)

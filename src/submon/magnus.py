@@ -195,17 +195,13 @@ def _relator_image(presentation, stable):
     return report
 
 
-def _qualifying_generator(presentation, stable, gen):
-    """The relator report and the generator to eliminate: `gen` when it
-    qualifies, the first qualifying generator when `gen` is None."""
+def _qualifying_generator(presentation, stable):
+    """The relator report and the generator to eliminate, the first
+    qualifying one."""
     report = _relator_image(presentation, stable)
-    if gen is None:
-        if not report.qualifying:
-            raise MagnusError("no generator with unique extreme occurrences")
-        gen = report.qualifying[0]
-    elif gen not in report.qualifying:
-        raise MagnusError(f"{gen!r} does not qualify")
-    return report, gen
+    if not report.qualifying:
+        raise MagnusError("no generator with unique extreme occurrences")
+    return report, report.qualifying[0]
 
 
 class IntervalPresentation:
@@ -406,10 +402,10 @@ class BrittonEngine(WordProblem):
 
     name = "britton"
 
-    def __init__(self, presentation, stable, gen=None):
+    def __init__(self, presentation, stable):
         self.presentation = presentation
         self.stable = stable
-        self.report, self.gen = _qualifying_generator(presentation, stable, gen)
+        self.report, self.gen = _qualifying_generator(presentation, stable)
         stats = self.report.stats.values()
         self._span_lo = max(st["min"] for st in stats)
         self._span_hi = min(st["max"] for st in stats)
@@ -485,10 +481,10 @@ class FbcGroup(WordProblem):
 
     name = "fbc"
 
-    def __init__(self, presentation, stable, gen=None):
+    def __init__(self, presentation, stable):
         self.presentation = presentation
         self.stable = stable
-        self.report, self.gen = _qualifying_generator(presentation, stable, gen)
+        self.report, self.gen = _qualifying_generator(presentation, stable)
         alphabet = presentation.alphabet
         self.g = alphabet.index(self.gen)
         self.t = alphabet.index(stable)

@@ -8,7 +8,7 @@ import pytest
 
 import submon
 
-from submon.words import Alphabet, Word, Presentation, GroupHom
+from submon.words import Alphabet, Word, Presentation
 from submon.presentations import (
     surface_presentation, nonorientable_presentation, bs_presentation,
     burns_presentation, BsEngine, select_engine, prefix_generators,
@@ -19,7 +19,7 @@ from submon.magnus import FbcGroup, britton_engine
 from submon.deciders import (
     DeciderError, reduce_to_dg_instance, decide_surface_submonoid,
     decide_surface_magnus, decide_prefix_surface, decide_bs_magnus,
-    decide_burns_magnus, orbit_membership, decide_positivity_fbc,
+    decide_burns_magnus, decide_positivity_fbc,
     choose_signs, powers_decider, emit_positivity_gadget,
     eliminate_defined_generator,
 )
@@ -670,6 +670,29 @@ def test_positivity_fbc_golden():
         "bound": None}
 
 
+def test_positivity_cover_memoizes_dead_ends():
+    """On <a, t | TAttaT> the orbit factors of a alternate a[0], a[-1], so
+    a[0] is factor 2 and factor 0.  For aatAt (j = 2, u = a[0] a[0] a[-1]')
+    the cover takes factor 2 first; from position 1 both caps 2 and 0 fail
+    at position 2.  Back at position 0 it takes factor 0, and factor 0
+    again reaches position 2 at cap 0, a pair already known to fail."""
+    pres = Presentation.parse("gens: a t\nrel: TAttaT\n")
+    assert decide_positivity_fbc(pres, "aatAt").to_dict() == {
+        "verdict": "non-member", "method": ["fbc-normal-form", "orbit-dp"],
+        "witness": None,
+        "certificate": {"j": 2, "u": "a[0] a[0] a[-1]'", "stable": "t",
+                        "reason": "ordered orbit tiling exhausted"},
+        "bound": None}
+
+
+def test_orbit_cover_outlasts_the_recursion_limit():
+    """The cover keeps its path on a list: a kernel word of 1500 factors
+    is covered, not a RecursionError."""
+    v = decide_burns_magnus(["a", "t"], "a" * 1500)
+    assert v.methods == ["fbc-normal-form", "orbit-dp"]
+    assert v.witness == ["a"] * 1500
+
+
 def test_positivity_fbc_random():
     rng = random.Random(17)
     B = burns_presentation()
@@ -690,22 +713,6 @@ def test_positivity_fbc_random():
         v = decide_positivity_fbc(B, word)
         if v.is_member:
             check_witness(B, gens, v.witness, word, fbc)
-
-
-def test_orbit_membership():
-    FA = Alphabet(["p", "q"])
-    th = GroupHom.from_dict(FA, FA, {"p": "q", "q": "q p' q"})
-    thi = GroupHom.from_dict(FA, FA, {"q": "p", "p": "p q' p"})
-    seeds = [Word.parse(FA, "p")]
-    v = orbit_membership(th, thi, seeds, Word.parse(FA, "q p' q"))
-    assert v.is_member and v.witness == ["qPq"]
-    assert v.certificate["certified"] is True
-    v = orbit_membership(th, thi, seeds, Word.parse(FA, "q q"))
-    assert v.is_member and v.witness == ["q", "q"]
-    v = orbit_membership(th, thi, seeds, Word.parse(FA, "p'"))
-    assert v.is_non_member
-    v = orbit_membership(th, thi, seeds, Word.parse(FA, ""))
-    assert v.is_member and v.witness == []
 
 
 def test_choose_signs():

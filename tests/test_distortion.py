@@ -507,6 +507,31 @@ def test_free_image_graded_pullback():
     assert cert.budget.bound(4) == 12
 
 
+def test_free_image_graded_midpoint():
+    """bA and Ba collapse to mutually inverse words, so no code certificate
+    exists; the midpoint certificate bounds the factor count instead, and
+    the surface decider reads its bound from it."""
+    from submon.presentations import surface_presentation, free_collapses
+
+    S2 = surface_presentation(2)
+    gens = ["b a'", "b' a"]
+    f = dict(free_collapses(S2))["collapse"]
+    cert = free_image_graded(S2, f, [S2.word(g) for g in gens])
+    assert cert.kind == "midpoint"
+    assert cert.budget == DistortionBudget(3, 0)
+    assert cert.data == {"suffixes": ["y", "xx"], "stretch": 3}
+    free_image = {"kind": "midpoint", "slope": 3, "offset": 0, "stretch": 3}
+    assert decide_surface_submonoid(S2, gens, "b a' b' a").to_dict() == {
+        "verdict": "member", "method": ["free-image", "image-lift"],
+        "witness": ["bA", "Ba"], "certificate": free_image, "bound": 12}
+    assert decide_surface_submonoid(S2, gens, "a b'").to_dict() == {
+        "verdict": "non-member", "method": ["free-image", "image"],
+        "witness": None,
+        "certificate": dict(free_image, hom="collapse", image="Yx",
+                            reason="image outside the image submonoid"),
+        "bound": None}
+
+
 def test_free_image_graded_killed_generator():
     from submon.words import GroupHom
     from submon.presentations import surface_presentation
